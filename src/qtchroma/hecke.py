@@ -9,13 +9,14 @@ T_0 is the conjugate Pi T_{m-1} Pi^{-1}.
 
 from __future__ import annotations
 
-from .qt import QTCoeff, qt_monomial, from_int
+from .qt import QTCoeff, QTLaurent, qt_monomial, _ONE_TERMS, _QL_ONE
 from .xring import XPoly, XError, swap_vars
 
 _T = qt_monomial(1, 0, 1)          # t
 _TINV = qt_monomial(1, 0, -1)      # t^-1
-_TM1 = _T - 1                      # t - 1
-_ONE_M_TINV = from_int(1) - _TINV  # 1 - t^-1
+# t^hi - t^lo keyed by (hi, lo): the t - 1 and 1 - t^-1 factors and negatives
+_TDIFF = {(hi, lo): qt_monomial(1, 0, hi) - qt_monomial(1, 0, lo)
+          for hi, lo in ((1, 0), (0, 1), (0, -1), (-1, 0))}
 
 
 class HeckeError(ValueError):
@@ -50,20 +51,42 @@ def apply_s(i, f):
     return XPoly._raw(m, out)
 
 
+def _times_tdiff(c, hi, lo):
+    """c * (t^hi - t^lo), as two shifts and a subtract when c has denominator 1.
+
+    Otherwise the generic product is kept: the factor can cancel against the
+    denominator, and only the normalizing constructor restores normal form.
+    """
+    if c.den.terms != _ONE_TERMS:
+        return c * _TDIFF[hi, lo]
+    n = c.num.terms
+    out = {(qe, te + hi): v for (qe, te), v in n.items()}
+    for (qe, te), v in n.items():
+        k = (qe, te + lo)
+        s = out.get(k, 0) - v
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return QTCoeff._raw(QTLaurent._raw(out), _QL_ONE)
+
+
 def _t_pair(out, i, e, c, k, l):
     """Accumulate T_i applied to one monomial with X_i^k X_{i+1}^l."""
     base = e[:i - 1]
     rest = e[i + 1:]
     if l >= k:
         _acc(out, base + (l, k) + rest, c * _T)
-        ctm = c * _TM1
-        for a in range(k, l):
-            _acc(out, base + (a, k + l - a) + rest, ctm)
+        if l > k:
+            d = _times_tdiff(c, 1, 0)
+            for a in range(k, l):
+                _acc(out, base + (a, k + l - a) + rest, d)
     else:
         _acc(out, base + (l, k) + rest, c)
-        ctm = c * _TM1
-        for a in range(l + 1, k):
-            _acc(out, base + (a, k + l - a) + rest, -ctm)
+        if k > l + 1:
+            d = _times_tdiff(c, 0, 1)
+            for a in range(l + 1, k):
+                _acc(out, base + (a, k + l - a) + rest, d)
 
 
 def _t_pair_inv(out, i, e, c, k, l):
@@ -72,14 +95,16 @@ def _t_pair_inv(out, i, e, c, k, l):
     rest = e[i + 1:]
     if l > k:
         _acc(out, base + (l, k) + rest, c)
-        ctm = c * _ONE_M_TINV
-        for a in range(k + 1, l):
-            _acc(out, base + (a, k + l - a) + rest, ctm)
+        if l > k + 1:
+            d = _times_tdiff(c, 0, -1)
+            for a in range(k + 1, l):
+                _acc(out, base + (a, k + l - a) + rest, d)
     else:
         _acc(out, base + (l, k) + rest, c * _TINV)
-        ctm = c * _ONE_M_TINV
-        for a in range(l + 1, k + 1):
-            _acc(out, base + (a, k + l - a) + rest, -ctm)
+        if k > l:
+            d = _times_tdiff(c, -1, 0)
+            for a in range(l + 1, k + 1):
+                _acc(out, base + (a, k + l - a) + rest, d)
 
 
 def apply_T(i, f):

@@ -85,6 +85,11 @@ class QTLaurent:
     def __mul__(self, other):
         if not self.terms or not other.terms:
             return QTLaurent._raw({})
+        if len(other.terms) == 1:
+            # A monomial factor only shifts keys: no collisions, no zeros.
+            ((dq, dt), vb), = other.terms.items()
+            return QTLaurent._raw({(qa + dq, ta + dt): va * vb
+                                   for (qa, ta), va in self.terms.items()})
         out = {}
         for (qa, ta), va in self.terms.items():
             for (qb, tb), vb in other.terms.items():

@@ -222,14 +222,19 @@ def swap_vars(f, i):
     return XPoly._raw(f.m, out)
 
 
-def is_symmetric(f):
-    """True iff f is invariant under all adjacent swaps of X_1..X_m."""
-    for i in range(1, f.m):
-        for e, c in f.terms.items():
+def is_symmetric(f, n=None):
+    """True iff f is invariant under all permutations of X_1..X_n.
+
+    n defaults to m, all the variables.
+    """
+    terms = f.terms
+    for i in range(1, f.m if n is None else n):
+        for e, c in terms.items():
             if e[i - 1] == e[i]:
                 continue
-            ep = e[:i - 1] + (e[i], e[i - 1]) + e[i + 1:]
-            if f.terms.get(ep) != c:
+            d = terms.get(e[:i - 1] + (e[i], e[i - 1]) + e[i + 1:])
+            # the members of an orbit often share one coefficient object
+            if d is not c and d != c:
                 return False
     return True
 
@@ -242,10 +247,6 @@ def assert_integral(f):
         if any(qe > 0 for qe, _ in c.num.terms):
             return False
     return True
-
-
-# Alias with the predicate-style name.
-is_integral = assert_integral
 
 
 # ---------------------------------------------------------------------------

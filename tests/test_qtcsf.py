@@ -1,5 +1,6 @@
 """Tests for the symmetrizer operators and the main polynomial builder."""
 
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from qtchroma.qt import (ONE, from_int, qt_monomial, t_int, t_factorial,
                          specialize_q1)
 from qtchroma.xring import XPoly, XError, is_symmetric, assert_integral, truncate
-from qtchroma.hecke import apply_T, apply_pi
+from qtchroma.hecke import apply_T, apply_T_inv, apply_pi
 from qtchroma.symfn import e_range, e_poly, expand_in_e, EExpansion
 from qtchroma.graphs import (enumerate_eseqs, modular_triples, complete_eseq,
                              graph_from_eseq, chromatic_qsf)
@@ -72,6 +73,59 @@ def test_hatS_output_symmetric_in_prefix():
             assert apply_T(i, g) == g * T
 
 
+def hatS_reference(a, f):
+    # Pi f plus the chained T^{-1} sum, every monomial kept
+    g = apply_pi(f)
+    total = g
+    for j in range(1, a + 1):
+        g = apply_T_inv(j, g)
+        total = total + g
+    return total
+
+
+def rand_coeff(rng):
+    # monomials, sums, and fractions whose denominator can cancel t - 1
+    return rng.choice([
+        qt_monomial(rng.choice([-2, -1, 1, 3]), rng.randint(-1, 1),
+                    rng.randint(-1, 2)),
+        t_int(rng.randint(2, 3)) + QINV,
+        from_int(rng.choice([-1, 1])) / (T - 1),
+    ])
+
+
+def prefix_symmetric_poly(rng, m, a, nterms):
+    # each random monomial spread over every rearrangement of its first a
+    # exponents; the small range gives plenty of repeated exponents
+    terms = {}
+    for _ in range(nterms):
+        e = [rng.randint(-1, 2) for _ in range(m)]
+        if rng.random() < 0.3:
+            e[:a] = [e[0]] * a
+        c = rand_coeff(rng)
+        for head in set(itertools.permutations(e[:a])):
+            terms[head + tuple(e[a:])] = c
+    return XPoly(m, terms)
+
+
+def test_hatS_matches_unpruned_reference_on_prefix_symmetric_input():
+    rng = random.Random(11)
+    for m in range(2, 6):
+        for a in range(m):
+            for _ in range(4):
+                f = prefix_symmetric_poly(rng, m, a, rng.randint(1, 4))
+                assert apply_hatS(a, f) == hatS_reference(a, f), (m, a, f)
+
+
+def test_hatS_matches_unpruned_reference_on_arbitrary_input():
+    rng = random.Random(12)
+    for m in range(2, 6):
+        for a in range(m):
+            for _ in range(4):
+                f = XPoly(m, {tuple(rng.randint(-1, 2) for _ in range(m)):
+                              rand_coeff(rng) for _ in range(4)})
+                assert apply_hatS(a, f) == hatS_reference(a, f), (m, a, f)
+
+
 # -- the main builder --------------------------------------------------------
 
 def test_qt_csf_needs_two_variables():
@@ -117,6 +171,13 @@ def test_two_factorizations_agree():
         for e in enumerate_eseqs(n):
             for m in (2, 3):
                 assert qt_csf(e, m) == qt_csf_via_s(e, m)
+
+
+def test_two_factorizations_agree_with_fewer_variables_than_vertices():
+    # m < n sends some symmetrizer index below zero, where the result is 0
+    for n in (3, 4, 5):
+        for e in enumerate_eseqs(n):
+            assert qt_csf(e, 2) == qt_csf_via_s(e, 2), e
 
 
 def test_qt_csf_symmetric_and_integral():
@@ -176,7 +237,6 @@ def test_modular_law_oracle_side():
 
 def test_second_symmetrizer_annihilation():
     # hatS_{a+1} hatS_a (1 - t T_{m-1}^{-1}) kills everything for a < m-1
-    from qtchroma.hecke import apply_T_inv
     rng = random.Random(5)
     for _ in range(10):
         m = rng.randint(3, 4)

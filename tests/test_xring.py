@@ -101,6 +101,11 @@ def test_swap_and_symmetry():
     assert is_symmetric(h)
     h2 = XPoly(2, {(2, 1): t, (1, 2): ONE})
     assert not is_symmetric(h2)
+    # symmetric in a prefix only; equal coefficients need not be one object
+    p = XPoly(3, {(2, 1, 0): t, (1, 2, 0): qt_monomial(1, 0, 1)})
+    assert is_symmetric(p, 2)
+    assert not is_symmetric(p)
+    assert is_symmetric(XPoly(3, {(0, 1, 2): t}), 1)
 
 
 def test_assert_integral():
