@@ -6,7 +6,7 @@ from .qt import (QTError, QTLaurent, QTCoeff, from_int, qt_monomial, t_int,
 from .xring import (XError, XPoly, resolve_index, truncate, is_symmetric,
                     assert_integral, render_xpoly)
 from .hecke import (HeckeError, apply_s, apply_T, apply_T_inv, apply_pi,
-                    apply_pi_inv, apply_Y, apply_word, parse_word)
+                    apply_pi_inv, apply_Y)
 from .symfn import (SymFnError, partitions_of, conjugate, e_poly, e_range,
                     expand_in_e, EExpansion, apply_N, e_stat)
 from .graphs import (GraphError, OrientedGraph, check_eseq, check_aseq,

@@ -13,6 +13,7 @@ import sys
 
 from .qt import QTError, specialize_q1, limit_q_infinity, render_coeff
 from .xring import XPoly, XError, render_xpoly
+from .hecke import HeckeError
 from .symfn import EExpansion, SymFnError, e_poly, expand_in_e
 from .graphs import (GraphError, check_eseq, aseq_to_eseq, hseq_to_eseq,
                      eseq_to_aseq, eseq_to_hseq, graph_from_eseq, chromatic_qsf,
@@ -266,7 +267,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, XError, SymFnError, QMapError, QTError) as exc:
+    except (GraphError, XError, HeckeError, SymFnError, QMapError, QTError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ _TDIFF = {(hi, lo): qt_monomial(1, 0, hi) - qt_monomial(1, 0, lo)
 
 
 class HeckeError(ValueError):
-    """Raised for bad operator indices or malformed operator words."""
+    """Raised for bad operator indices."""
 
 
 def _acc(out, e, c):
@@ -168,64 +168,3 @@ def apply_Y(i, f):
     if i != m:
         g = g * qt_monomial(1, 0, m - i)
     return g
-
-
-# ---------------------------------------------------------------------------
-# Operator words
-# ---------------------------------------------------------------------------
-
-def apply_word(word, f):
-    """Apply a sequence of atoms right-to-left (the last atom acts first).
-
-    Atoms: ("T", i), ("Ti", i), ("P",), ("Pi",), ("Y", i), ("c", QTCoeff).
-    """
-    g = f
-    for atom in reversed(word):
-        kind = atom[0]
-        if kind == "T":
-            g = apply_T(atom[1], g)
-        elif kind == "Ti":
-            g = apply_T_inv(atom[1], g)
-        elif kind == "P":
-            g = apply_pi(g)
-        elif kind == "Pi":
-            g = apply_pi_inv(g)
-        elif kind == "Y":
-            g = apply_Y(atom[1], g)
-        elif kind == "c":
-            g = g * atom[1]
-        else:
-            raise HeckeError("unknown operator atom %r" % (atom,))
-    return g
-
-
-def parse_word(text, m):
-    """Parse the CLI word syntax, e.g. "T3 Ti1 P Pi Y2"."""
-    word = []
-    for tok in text.split():
-        if tok == "P":
-            word.append(("P",))
-        elif tok == "Pi":
-            word.append(("Pi",))
-        elif tok.startswith("Ti"):
-            word.append(("Ti", _parse_idx(tok[2:], tok, m, True)))
-        elif tok.startswith("T"):
-            word.append(("T", _parse_idx(tok[1:], tok, m, True)))
-        elif tok.startswith("Y"):
-            word.append(("Y", _parse_idx(tok[1:], tok, m, False)))
-        else:
-            raise HeckeError("cannot parse operator token %r" % tok)
-    return word
-
-
-def _parse_idx(s, tok, m, mod_ok):
-    try:
-        i = int(s)
-    except ValueError:
-        raise HeckeError("cannot parse operator token %r" % tok) from None
-    if mod_ok:
-        if not 0 <= i < m:
-            raise HeckeError("index in %r out of range 0..%d" % (tok, m - 1))
-    elif not 1 <= i <= m:
-        raise HeckeError("index in %r out of range 1..%d" % (tok, m))
-    return i

@@ -14,11 +14,11 @@ qt_csf; apply_hatS checks it and on other inputs keeps every monomial.
 
 from __future__ import annotations
 
-from .qt import (QTCoeff, ZERO, ONE, qt_monomial, t_int, t_factorial,
-                 specialize_q1, limit_q_infinity, QTError)
+from .qt import (ZERO, ONE, qt_monomial, t_factorial, specialize_q1,
+                 limit_q_infinity, QTError)
 from .xring import XPoly, XError, truncate, is_symmetric
-from .hecke import apply_T_inv, apply_pi, apply_pi_inv
-from .symfn import expand_in_e, apply_N, e_stat, e_poly, EExpansion
+from .hecke import apply_T_inv, apply_pi
+from .symfn import expand_in_e, apply_N, e_stat, e_poly
 from .graphs import (check_eseq, eseq_to_aseq, graph_from_eseq, chromatic_qsf,
                      eseq_weight)
 

@@ -7,9 +7,10 @@ is deterministic.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
-from .qt import QTCoeff, ONE, from_int, qt_monomial, render_coeff
+from .qt import QTCoeff, ZERO, ONE, from_int, qt_monomial, render_coeff
 from .xring import XPoly, is_symmetric
 
 
@@ -148,13 +149,66 @@ class EExpansion:
         return cls(obj["n"], coeffs)
 
 
+def _zero_one_count(rows, cols, memo):
+    """Number of 0-1 matrices with row sums `rows` and column sums `cols`.
+
+    `cols` is weakly decreasing with no zeros: columns with equal remaining
+    sums are interchangeable, so each recursive call sorts them and
+    `memo` sees one key per multiset.
+    """
+    if not rows:
+        return 0 if cols else 1
+    key = (rows, cols)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    total = 0
+    rest = rows[1:]
+    for chosen in combinations(range(len(cols)), rows[0]):
+        left = list(cols)
+        for j in chosen:
+            left[j] -= 1
+        total += _zero_one_count(rest, tuple(sorted((c for c in left if c),
+                                                    reverse=True)), memo)
+    memo[key] = total
+    return total
+
+
+@lru_cache(maxsize=16)
+def _e_table(n):
+    """The dominant-monomial coefficients of every e_lam of degree n.
+
+    One row (nu, conjugate(nu), entries) per partition nu of n, in
+    reverse-lexicographic order; entries holds the pairs (lam, k) with
+    k != 0 the coefficient of X^nu in e_lam, i.e. the number of 0-1
+    matrices with row sums lam and column sums nu.  The entry of lam =
+    conjugate(nu) is 1, and every other lam has conjugate(lam) lex-greater
+    than nu.  Only tuples and integers, so callers cannot mutate it.
+    """
+    parts = partitions_of(n)
+    memo = {}
+    table = []
+    for nu in parts:
+        entries = []
+        for lam in parts:
+            k = _zero_one_count(lam, nu, memo)
+            if k:
+                entries.append((lam, k))
+        table.append((nu, conjugate(nu), tuple(entries)))
+    return tuple(table)
+
+
 def expand_in_e(f):
     """Expand a symmetric homogeneous polynomial in the elementary basis.
 
-    Peels off leading monomials: under lex order the leading monomial of
-    e_mu is X^{mu'} (the conjugate), so repeatedly subtracting the basis
-    element whose conjugate matches the current lex-leading exponent
-    pattern terminates without any division.
+    Reads only the dominant monomials of f: the coefficient a_nu of
+    X^nu for each partition nu of n = deg f.  Under lex order the leading
+    monomial of e_lam is X^{lam'} (the conjugate), so f = sum c_lam e_lam
+    is unitriangular on them: going through nu in reverse-lex order,
+    c_{nu'} = a_nu - sum_lam c_lam [X^nu] e_lam over the lam already
+    solved.  The integers [X^nu] e_lam come from a per-degree table, so
+    no division and no polynomial product is needed.  Symmetry is checked
+    on all of f, since the dominant monomials alone cannot see it.
     """
     if f.is_zero():
         return EExpansion(0, {})
@@ -168,19 +222,18 @@ def expand_in_e(f):
                          "e-expansion, got m=%d" % (n, n, f.m))
     if not is_symmetric(f):
         raise SymFnError("polynomial is not symmetric")
+    m = f.m
+    terms = f.terms
     coeffs = {}
-    rem = f
-    while rem.terms:
-        lead = max(tuple(sorted(e, reverse=True)) for e in rem.terms)
-        lam = tuple(p for p in lead if p)
-        c = rem.terms[lead + (0,) * (f.m - len(lead))]
-        mu = conjugate(lam)
-        coeffs[mu] = coeffs.get(mu, ZERO_C) + c
-        rem = rem - e_poly(mu, f.m) * c
+    for nu, mu, entries in _e_table(n):
+        acc = terms.get(nu + (0,) * (m - len(nu)), ZERO)
+        for lam, k in entries:
+            c = coeffs.get(lam)
+            if c is not None:
+                acc = acc - (c if k == 1 else c * k)
+        if acc:
+            coeffs[mu] = acc
     return EExpansion(n, coeffs)
-
-
-ZERO_C = from_int(0)
 
 
 def apply_N(exp):

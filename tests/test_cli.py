@@ -66,6 +66,19 @@ def test_compute_rejects_bad_sequence(capsys):
     assert code == 2
 
 
+def test_hecke_error_exits_2(capsys, monkeypatch):
+    import qtchroma.cli as cli
+    from qtchroma.hecke import HeckeError
+
+    def boom(eseq, m):
+        raise HeckeError("Y index 0 out of range 1..2")
+    monkeypatch.setattr(cli, "qt_csf", boom)
+    code, out, err = run(capsys, "compute", "--eseq", "0", "--m", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: Y index 0 out of range 1..2"
+
+
 def test_expand_matches_compute_at_q1(capsys):
     # the coloring-based expansion agrees with the operator pipeline at q=1
     # up to the coefficient rescaling (checked elsewhere); here we just

@@ -8,8 +8,7 @@ import pytest
 from qtchroma.qt import qt_monomial, from_int
 from qtchroma.xring import XPoly
 from qtchroma.hecke import (HeckeError, apply_s, apply_T, apply_T_inv,
-                            apply_pi, apply_pi_inv, apply_Y, apply_word,
-                            parse_word)
+                            apply_pi, apply_pi_inv, apply_Y)
 
 T = qt_monomial(1, 0, 1)
 
@@ -205,26 +204,3 @@ def test_Y_product_is_pi_power():
             h = apply_pi(h)
         assert g == h
 
-
-# -- words ------------------------------------------------------------------
-
-def test_apply_word_matches_direct():
-    rng = random.Random(13)
-    f = rand_poly(rng, 3)
-    word = [("T", 1), ("Ti", 2), ("P",), ("Y", 3), ("c", T)]
-    g = apply_word(word, f)
-    h = apply_T(1, apply_T_inv(2, apply_pi(apply_Y(3, f * T))))
-    assert g == h
-
-
-def test_parse_word():
-    assert parse_word("T1 Ti2 P Pi Y3", 3) == [
-        ("T", 1), ("Ti", 2), ("P",), ("Pi",), ("Y", 3)]
-    with pytest.raises(HeckeError):
-        parse_word("Q1", 3)
-    with pytest.raises(HeckeError):
-        parse_word("T3", 3)   # generator indices run 0..m-1
-    with pytest.raises(HeckeError):
-        parse_word("Y0", 3)   # Y indices run 1..m
-    with pytest.raises(HeckeError):
-        parse_word("Tx", 3)

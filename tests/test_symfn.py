@@ -4,10 +4,44 @@ import random
 
 import pytest
 
-from qtchroma.qt import ONE, from_int, qt_monomial
-from qtchroma.xring import XPoly
+from qtchroma.qt import ONE, QTCoeff, from_int, qt_monomial
+from qtchroma.xring import XPoly, is_symmetric
 from qtchroma.symfn import (SymFnError, partitions_of, conjugate, e_range,
-                            e_poly, EExpansion, expand_in_e, apply_N, e_stat)
+                            e_poly, EExpansion, expand_in_e, apply_N, e_stat,
+                            _e_table)
+from qtchroma.graphs import enumerate_eseqs
+from qtchroma.qtcsf import qt_csf
+
+
+def expand_by_peeling(f):
+    """Reference e-expansion: peel off full e_poly products.
+
+    Under lex order the leading monomial of e_mu is X^{mu'}, so subtracting
+    c * e_mu for the lex-leading exponent pattern of the remainder
+    terminates without any division.  It reads every monomial of f.
+    """
+    assert is_symmetric(f)
+    coeffs = {}
+    rem = f
+    while rem.terms:
+        lead = max(tuple(sorted(e, reverse=True)) for e in rem.terms)
+        c = rem.terms[lead]
+        mu = conjugate(tuple(p for p in lead if p))
+        assert mu not in coeffs
+        coeffs[mu] = c
+        rem = rem - e_poly(mu, f.m) * c
+    return EExpansion(f.degree() if coeffs else 0, coeffs)
+
+
+def dominates(a, b):
+    """a >= b in dominance order (partitions of the same integer)."""
+    sa = sb = 0
+    for i in range(max(len(a), len(b))):
+        sa += a[i] if i < len(a) else 0
+        sb += b[i] if i < len(b) else 0
+        if sa < sb:
+            return False
+    return True
 
 
 def test_partition_counts():
@@ -90,12 +124,98 @@ def test_expand_in_e_known():
 def test_expand_in_e_errors():
     with pytest.raises(SymFnError):
         expand_in_e(XPoly(2, {(1, 0): 1}))  # not symmetric
+    # right on every dominant monomial, not symmetric on X_2 X_3
+    with pytest.raises(SymFnError, match="not symmetric"):
+        expand_in_e(e_poly((1, 1), 3) + XPoly(3, {(0, 1, 1): 1}))
     with pytest.raises(SymFnError):
         expand_in_e(XPoly(2, {(1, 0): 1, (0, 1): 1, (1, 1): 1}))  # inhomogeneous
     with pytest.raises(SymFnError):
         expand_in_e(e_poly((2, 1), 2))      # m < degree: not faithful
     with pytest.raises(SymFnError):
         expand_in_e(XPoly(2, {(-1, -1): 1}))
+
+
+def _random_coeff(rng):
+    """A sum of a few pieces: monomials with negative q-powers, 1/(t-1),
+    and pieces that cancel each other."""
+    t = qt_monomial(1, 0, 1)
+    inv = QTCoeff(from_int(1)) / (t - 1)
+    total = from_int(0)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            piece = qt_monomial(rng.choice((-2, -1, 1, 3)), rng.randint(-3, 1),
+                                rng.randint(-1, 2))
+        elif kind == 1:
+            piece = inv * qt_monomial(rng.choice((-1, 1)), rng.randint(-2, 0), 0)
+        elif kind == 2:
+            piece = qt_monomial(1, -1, 1) * inv - inv * qt_monomial(1, -1, 1)
+        else:
+            piece = t * inv - inv   # (t - 1)/(t - 1) = 1
+        total = total + piece
+    return total
+
+
+def test_expand_in_e_matches_peeling_on_random_expansions():
+    rng = random.Random(5)
+    for n in range(1, 7):
+        parts = partitions_of(n)
+        for m in (n, n + 1, n + 2):
+            for _ in range(3 if n < 6 else 1):
+                coeffs = {lam: _random_coeff(rng) for lam in parts
+                          if rng.random() < 0.6}
+                exp = EExpansion(n, coeffs)
+                if not exp:
+                    continue
+                f = exp.to_xpoly(m)
+                got = expand_in_e(f)
+                assert got == exp
+                assert got.to_json() == expand_by_peeling(f).to_json()
+
+
+def test_expand_in_e_matches_peeling_on_cancelling_inputs():
+    # power-sum products p_lam vanish on most dominant monomials, and
+    # p_lam - e_lam cancels on some, so the solve meets zero dominant
+    # coefficients next to nonzero e-coefficients
+    for n in range(1, 6):
+        for m in (n, n + 1):
+            for lam in partitions_of(n):
+                f = XPoly.one(m)
+                for p in lam:
+                    f = f * XPoly(m, {tuple(p if j == i else 0 for j in range(m)): 1
+                                      for i in range(m)})
+                g = f - e_poly(lam, m)
+                for h in (f, g):
+                    if not h.is_zero():
+                        assert expand_in_e(h) == expand_by_peeling(h)
+
+
+def test_expand_in_e_matches_peeling_on_qt_csf():
+    for n in range(1, 6):
+        for e in enumerate_eseqs(n):
+            for m in sorted({max(n, 2), n + 1}):   # qt_csf needs m >= 2
+                f = qt_csf(e, m)
+                assert expand_in_e(f).to_json() == expand_by_peeling(f).to_json()
+
+
+def test_e_table_entries():
+    for n in range(7):
+        parts = partitions_of(n)
+        polys = {lam: e_poly(lam, n) for lam in parts}
+        table = _e_table(n)
+        assert [nu for nu, _, _ in table] == parts
+        for nu, mu, entries in table:
+            assert mu == conjugate(nu)
+            row = dict(entries)
+            assert len(row) == len(entries) and 0 not in row.values()
+            assert row[mu] == 1
+            pad = nu + (0,) * (n - len(nu))
+            for lam in parts:
+                want = polys[lam].terms.get(pad)
+                assert row.get(lam, 0) == (0 if want is None else want)
+                if not dominates(conjugate(lam), nu):
+                    assert lam not in row
+        assert _e_table(n) is table
 
 
 def test_eexpansion_validation_and_pruning():
