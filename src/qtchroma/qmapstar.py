@@ -4,47 +4,39 @@ quantum product.
 A Y-polynomial is an XPoly whose variables are read as the commuting
 operators Y_1..Y_m; the transport map evaluates the operator on 1.
 Its inverse is computed only on the symmetric subspace via an exact
-linear solve in e-basis coordinates.  The quantum product of f and g
-pulls f back to a Y-polynomial and applies it to g as an operator,
-which avoids ever inverting g.
+linear solve in e-basis coordinates.  Symmetric polynomials in the Y
+operators commute, so the quantum product of f and g is the ordinary
+product of their transported e-coordinates, mapped back through the
+images e_nu(Y) . 1.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import lru_cache
 
-from .qt import QTCoeff, ZERO, ONE, from_int, qt_monomial
-from .xring import XPoly, XError, is_symmetric
+from .qt import ZERO, from_int, qt_monomial, t_int
+from .xring import XPoly, XError
 from .hecke import apply_Y, apply_T, apply_pi
-from .symfn import EExpansion, SymFnError, partitions_of, e_poly, e_range, expand_in_e
-from .qt import t_int
+from .symfn import EExpansion, SymFnError, partitions_of, e_range, expand_in_e
 
 
 class QMapError(ValueError):
     """Raised when an inverse transport or quantum product is ill-posed."""
 
 
-# Images of Y-monomials acting on 1, keyed by (m, exponent tuple).
-_YMONO_CACHE = {}
-
-# Images of elementary products e_lam(Y) . 1, keyed by (m, lam).
-_E_IMAGE_CACHE = {}
-
-
-def _y_image(m, exps):
-    """The operator monomial Y^exps applied to 1, memoized."""
-    key = (m, exps)
-    cached = _YMONO_CACHE.get(key)
-    if cached is not None:
-        return cached
+def _y_image(m, exps, memo):
+    """The operator monomial Y^exps applied to 1, memoized in `memo`."""
+    img = memo.get(exps)
+    if img is not None:
+        return img
     for i in range(m):
         if exps[i]:
             sub = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-            img = apply_Y(i + 1, _y_image(m, sub))
+            img = apply_Y(i + 1, _y_image(m, sub, memo))
             break
     else:
         img = XPoly.one(m)
-    _YMONO_CACHE[key] = img
+    memo[exps] = img
     return img
 
 
@@ -52,20 +44,45 @@ def q_map(f):
     """Evaluate a Y-polynomial on 1, extending monomial images linearly."""
     if not f.is_polynomial():
         raise QMapError("transport map needs a polynomial Y-input")
+    memo = {}
     out = XPoly.zero(f.m)
     for e, c in f.terms.items():
-        out = out + _y_image(f.m, e) * c
+        out = out + _y_image(f.m, e, memo) * c
     return out
 
 
+@lru_cache(maxsize=128)
+def _e_image(m, lam):
+    """e_lam(Y) . 1 for a partition lam, built from the image of its tail."""
+    if not lam:
+        return XPoly.one(m)
+    return apply_e_r_Y(lam[0], _e_image(m, lam[1:]))
+
+
 def q_map_e(lam, m):
-    """The image of the elementary product e_lam(Y), memoized."""
-    key = (m, tuple(lam))
-    cached = _E_IMAGE_CACHE.get(key)
-    if cached is None:
-        cached = q_map(e_poly(lam, m))
-        _E_IMAGE_CACHE[key] = cached
-    return cached
+    """The image e_lam(Y) . 1 of the elementary product along a partition.
+
+    Applies e_{lam_1}(Y) to the image of (lam_2, lam_3, ...), so every
+    suffix image is computed once and kept in a bounded cache.
+    """
+    lam = tuple(lam)
+    if any(p < 1 for p in lam) or any(a < b for a, b in zip(lam, lam[1:])):
+        raise QMapError("need a weakly decreasing positive partition, got %r"
+                        % (lam,))
+    return _e_image(m, lam)
+
+
+@lru_cache(maxsize=32)
+def _columns(m, d):
+    """The transported elementaries of degree d in e-coordinates.
+
+    Row mu, column lam holds the coefficient of e_mu in q_map_e(lam, m),
+    both over partitions_of(d); rows are tuples so callers cannot mutate
+    them.
+    """
+    lams = partitions_of(d)
+    cols = [expand_in_e(q_map_e(lam, m)).coeffs for lam in lams]
+    return tuple(tuple(col.get(mu, ZERO) for col in cols) for mu in lams)
 
 
 def _solve(matrix, rhs):
@@ -110,26 +127,19 @@ def q_map_inv_sym(f):
     """
     if f.is_zero():
         return EExpansion(0, {})
-    if not f.is_homogeneous():
-        raise QMapError("input is not homogeneous")
     d = f.degree()
-    if d == 0:
-        return EExpansion(0, {(): next(iter(f.terms.values()))})
     if f.m < 2 * d:
         raise QMapError("need m >= %d variables to invert at degree %d, got %d"
                         % (2 * d, d, f.m))
-    if not is_symmetric(f):
-        raise QMapError("input is not symmetric")
+    try:
+        target = expand_in_e(f)
+    except SymFnError as exc:
+        raise QMapError(str(exc)) from None
+    if d == 0:
+        return target
     lams = partitions_of(d)
-    mus = lams  # row index set: e-coordinates of X-side expansions
-    cols = []
-    for lam in lams:
-        col = expand_in_e(q_map_e(lam, f.m)).coeffs
-        cols.append([col.get(mu, ZERO) for mu in mus])
-    target = expand_in_e(f).coeffs
-    rhs = [target.get(mu, ZERO) for mu in mus]
-    matrix = [[cols[j][i] for j in range(len(lams))] for i in range(len(mus))]
-    sol = _solve(matrix, rhs)
+    rhs = [target.coeffs.get(mu, ZERO) for mu in lams]
+    sol = _solve([list(row) for row in _columns(f.m, d)], rhs)
     return EExpansion(d, {lam: c for lam, c in zip(lams, sol) if not c.is_zero()})
 
 
@@ -158,48 +168,47 @@ def apply_e_r_Y(r, g):
     return total[0]
 
 
-def apply_ypoly_sym(coords, g):
-    """Apply sum_lam c_lam e_lam(Y) to g, given e-coordinates."""
-    out = XPoly.zero(g.m)
-    for lam, c in coords.coeffs.items():
-        h = g
-        for part in lam:
-            h = apply_e_r_Y(part, h)
-        out = out + h * c
-    return out
-
-
 def star(f, g):
-    """The quantum product of two symmetric homogeneous polynomials."""
+    """The quantum product of two symmetric homogeneous polynomials.
+
+    With f = sum c_lam e_lam(Y) . 1 and g = sum d_mu e_mu(Y) . 1, the
+    product is sum c_lam d_mu e_{lam u mu}(Y) . 1.
+    """
     if f.m != g.m:
         raise XError("variable counts differ: %d vs %d" % (f.m, g.m))
+    m = f.m
     if f.is_zero() or g.is_zero():
-        return XPoly.zero(f.m)
+        return XPoly.zero(m)
     df, dg = f.degree(), g.degree()
-    if f.m < 2 * (df + dg):
+    if m < 2 * (df + dg):
         raise QMapError("need m >= %d variables for degrees %d and %d"
                         % (2 * (df + dg), df, dg))
-    return apply_ypoly_sym(q_map_inv_sym(f), g)
+    b = q_map_inv_sym(g).coeffs
+    coords = {}
+    for lam, c in q_map_inv_sym(f).coeffs.items():
+        for mu, d in b.items():
+            nu = tuple(sorted(lam + mu, reverse=True))
+            s = coords.get(nu)
+            coords[nu] = c * d if s is None else s + c * d
+    out = {}
+    for nu, c in coords.items():
+        for e, k in q_map_e(nu, m).terms.items():
+            s = out.get(e)
+            out[e] = k * c if s is None else s + k * c
+    return XPoly._raw(m, {e: c for e, c in out.items() if not c.is_zero()})
 
 
 def qt_elementary(lam, m):
     """The iterated quantum product of elementaries along lam.
 
-    Computed two ways -- the iterated product and the transported
-    e_lam(Y) rescaled by t^{-sum lam_i(lam_i-1)/2} -- and cross-checked.
+    Equals the transported e_lam(Y) rescaled by t^{-sum lam_i(lam_i-1)/2}.
     """
     lam = tuple(sorted(lam, reverse=True))
     n = sum(lam)
     if m < 2 * n:
         raise QMapError("need m >= %d variables for weight %d" % (2 * n, n))
-    out = XPoly.one(m)
-    for part in reversed(lam):
-        out = star(e_range(part, 1, m, m), out)
     k = sum(p * (p - 1) // 2 for p in lam)
-    direct = q_map_e(lam, m) * qt_monomial(1, 0, -k)
-    if out != direct:
-        raise QMapError("the two evaluation routes disagree for %r" % (lam,))
-    return out
+    return q_map_e(lam, m) * qt_monomial(1, 0, -k)
 
 
 def pieri_rhs(r, m):

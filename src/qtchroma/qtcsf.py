@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .qt import (ZERO, ONE, qt_monomial, t_factorial, specialize_q1,
                  limit_q_infinity, QTError)
-from .xring import XPoly, XError, truncate, is_symmetric
+from .xring import XPoly, XError, truncate, is_symmetric, _distinct_perms
 from .hecke import apply_T_inv, apply_pi
 from .symfn import expand_in_e, apply_N, e_stat, e_poly
 from .graphs import (check_eseq, eseq_to_aseq, graph_from_eseq, chromatic_qsf,
@@ -94,28 +94,6 @@ def _representatives(g, j, r):
         else:
             out[e] = c
     return XPoly._raw(g.m, out)
-
-
-def _distinct_perms(p):
-    """Every distinct rearrangement of the tuple p, each once.
-
-    Steps through the multiset's permutations in lexicographic order
-    (next-permutation), never building the repeated ones.
-    """
-    x = sorted(p)
-    n = len(x)
-    while True:
-        yield tuple(x)
-        i = n - 2
-        while i >= 0 and x[i] >= x[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        k = n - 1
-        while x[k] <= x[i]:
-            k -= 1
-        x[i], x[k] = x[k], x[i]
-        x[i + 1:] = x[:i:-1]
 
 
 def qt_csf(eseq, m):

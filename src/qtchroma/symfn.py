@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .qt import QTCoeff, ZERO, ONE, from_int, qt_monomial, render_coeff
-from .xring import XPoly, is_symmetric
+from .xring import XPoly, is_symmetric, _distinct_perms
 
 
 class SymFnError(ValueError):
@@ -109,10 +109,25 @@ class EExpansion:
         return [(lam, self.coeffs[lam]) for lam in sorted(self.coeffs, reverse=True)]
 
     def to_xpoly(self, m):
-        out = XPoly.zero(m)
-        for lam, c in self.coeffs.items():
-            out = out + e_poly(lam, m) * c
-        return out
+        """The polynomial sum c_lam e_lam(X_1..X_m).
+
+        Its coefficient of X^nu, for each partition nu of n with at most m
+        parts, is sum_lam c_lam [X^nu] e_lam, read from the per-degree
+        table; every rearrangement of nu gets the same coefficient.
+        """
+        out = {}
+        for nu, _mu, entries in _e_table(self.n):
+            if len(nu) > m:
+                continue
+            acc = ZERO
+            for lam, k in entries:
+                c = self.coeffs.get(lam)
+                if c is not None:
+                    acc = acc + (c if k == 1 else c * k)
+            if acc:
+                for e in _distinct_perms(nu + (0,) * (m - len(nu))):
+                    out[e] = acc
+        return XPoly._raw(m, out)
 
     def __str__(self):
         if not self.coeffs:

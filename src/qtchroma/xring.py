@@ -239,6 +239,28 @@ def is_symmetric(f, n=None):
     return True
 
 
+def _distinct_perms(p):
+    """Every distinct rearrangement of the tuple p, each once.
+
+    Steps through the multiset's permutations in lexicographic order
+    (next-permutation), never building the repeated ones.
+    """
+    x = sorted(p)
+    n = len(x)
+    while True:
+        yield tuple(x)
+        i = n - 2
+        while i >= 0 and x[i] >= x[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        k = n - 1
+        while x[k] <= x[i]:
+            k -= 1
+        x[i], x[k] = x[k], x[i]
+        x[i + 1:] = x[:i:-1]
+
+
 def assert_integral(f):
     """True iff every coefficient lies in Z[q^{-1}, t^{+-1}]."""
     for c in f.terms.values():

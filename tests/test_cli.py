@@ -95,6 +95,12 @@ def test_star_cli(capsys):
     assert "e[2]" in out and "e[1,1]" in out
 
 
+def test_star_cli_rejects_inhomogeneous_g(capsys):
+    code, _, err = run(capsys, "star", "--f", "e[1]", "--g", "e[1]+e[2]",
+                       "--m", "6", "--basis", "monomial")
+    assert code == 2 and err.startswith("error:")
+
+
 def test_qt_elem_cli(capsys):
     code, out, _ = run(capsys, "qt-elem", "--partition", "2", "--m", "4",
                        "--basis", "e")

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qtchroma.qt import ONE, from_int, qt_monomial, t_int, t_factorial
+from qtchroma.qt import ONE, QTCoeff, from_int, qt_monomial, t_int, t_factorial
 from qtchroma.xring import XPoly, is_symmetric
 from qtchroma.symfn import partitions_of, e_poly, e_range, expand_in_e, EExpansion
 from qtchroma.graphs import enumerate_eseqs, concat
@@ -15,6 +15,57 @@ from qtchroma.qmapstar import (QMapError, q_map, q_map_e, q_map_inv_sym, star,
                                check_pieri)
 
 T = qt_monomial(1, 0, 1)
+
+
+def apply_ypoly_sym(coords, g):
+    """Apply sum_lam c_lam e_lam(Y) to g, given e-coordinates."""
+    out = XPoly.zero(g.m)
+    for lam, c in coords.coeffs.items():
+        h = g
+        for part in lam:
+            h = apply_e_r_Y(part, h)
+        out = out + h * c
+    return out
+
+
+def star_by_y_operators(f, g):
+    """Reference quantum product: pull f back to a symmetric Y-polynomial
+    and apply it to g as an operator."""
+    return apply_ypoly_sym(q_map_inv_sym(f), g)
+
+
+def _random_monomial(rng):
+    return qt_monomial(rng.choice((-2, -1, 1, 3)), rng.randint(-3, 1),
+                       rng.randint(-1, 2))
+
+
+def _random_coeff(rng):
+    """A sum of a few pieces: monomials with negative q-powers, 1/(t-1),
+    and pieces that cancel each other."""
+    inv = QTCoeff(from_int(1)) / (T - 1)
+    total = from_int(0)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            piece = _random_monomial(rng)
+        elif kind == 1:
+            piece = inv * qt_monomial(rng.choice((-1, 1)), rng.randint(-2, 0), 0)
+        elif kind == 2:
+            piece = qt_monomial(1, -1, 1) * inv - inv * qt_monomial(1, -1, 1)
+        else:
+            piece = T * inv - inv   # (t - 1)/(t - 1) = 1
+        total = total + piece
+    return total
+
+
+def _random_symmetric(rng, d, m, coeff=_random_coeff):
+    """A nonzero symmetric homogeneous polynomial of degree d in m variables."""
+    while True:
+        exp = EExpansion(d, {lam: coeff(rng) for lam in partitions_of(d)
+                             if rng.random() < 0.7})
+        f = exp.to_xpoly(m)
+        if f:
+            return f
 
 
 def test_q_map_constant_and_linear():
@@ -36,6 +87,21 @@ def test_q_map_elementaries_closed_form():
         for r in range(1, m + 1):
             want = e_poly((r,), m) * qt_monomial(1, 0, r * (r - 1) // 2)
             assert q_map_e((r,), m) == want
+
+
+def test_q_map_e_matches_q_map_of_e_poly():
+    # every partition of weight <= 4, including parts larger than m
+    for m in range(1, 9):
+        for d in range(5):
+            for lam in partitions_of(d):
+                want = q_map(e_poly(lam, m))
+                assert q_map_e(lam, m).to_json() == want.to_json(), (lam, m)
+
+
+def test_q_map_e_rejects_non_partitions():
+    for lam in [(1, 2), (2, 0), (0,), (-1,)]:
+        with pytest.raises(QMapError):
+            q_map_e(lam, 4)
 
 
 def test_q_map_is_linear():
@@ -76,6 +142,20 @@ def test_q_map_inv_sym_round_trips():
         for lam, c in want.coeffs.items():
             f = f + q_map_e(lam, m) * c
         assert q_map_inv_sym(f) == want
+
+
+def test_q_map_inv_sym_round_trips_every_degree_at_one_m():
+    # one m, several degrees: each degree has its own transported table
+    rng = random.Random(4)
+    m = 8
+    for d in (4, 1, 3, 2, 4, 1):
+        want = EExpansion(d, {lam: _random_coeff(rng) for lam in partitions_of(d)})
+        if not want:
+            continue
+        f = XPoly.zero(m)
+        for lam, c in want.coeffs.items():
+            f = f + q_map_e(lam, m) * c
+        assert q_map_inv_sym(f).to_json() == want.to_json()
 
 
 def test_q_map_inv_sym_degree_zero():
@@ -119,6 +199,43 @@ def test_star_headroom_check():
         star(e_poly((2,), 4), e_poly((1,), 4))   # needs m >= 6
 
 
+def test_star_matches_y_operator_oracle():
+    # star is commutative, so the oracle applies the lower-degree factor
+    # as a Y-operator and both argument orders are compared with it; a
+    # constant factor is covered by the identity tests
+    rng = random.Random(7)
+    for df in (1, 2):
+        for dg in range(df, 5 - df):
+            for m in (2 * (df + dg), 2 * (df + dg) + 1):
+                f = _random_symmetric(rng, df, m)
+                g = _random_symmetric(rng, dg, m, _random_monomial)
+                want = star_by_y_operators(f, g).to_json()
+                assert star(f, g).to_json() == want, (df, dg, m)
+                assert star(g, f).to_json() == want, (dg, df, m)
+
+
+def test_star_with_cancelling_orbits():
+    # h has no X1*X2*X3 term, while both of its transported coordinates
+    # e_3(Y).1 and e_{2,1}(Y).1 have one, so their contributions cancel there
+    m = 6
+    h = e_poly((2, 1), m) - e_poly((3,), m) * 3
+    assert (0, 0, 0, 1, 1, 1) not in h.terms
+    assert set(q_map_inv_sym(h).coeffs) == {(3,), (2, 1)}
+    assert star(XPoly.one(m), h).to_json() == h.to_json()
+    assert star(h, XPoly.one(m)).to_json() == h.to_json()
+
+
+def test_star_rejects_non_symmetric_or_inhomogeneous_g():
+    m = 6
+    f = e_poly((1,), m)
+    with pytest.raises(QMapError):
+        star(f, XPoly.variable(1, m))                      # not symmetric
+    with pytest.raises(QMapError):
+        star(f, e_poly((1,), m) + e_poly((2,), m))         # inhomogeneous
+    with pytest.raises(QMapError):
+        star(XPoly.variable(1, m), f)                      # f not symmetric
+
+
 def test_star_multiplicative_on_disjoint_graphs():
     for e1 in enumerate_eseqs(1):
         for e2 in enumerate_eseqs(2):
@@ -153,6 +270,18 @@ def test_qt_elementary_column():
     want = (e_range(2, 1, m, m) * ((from_int(1) - qt_monomial(1, -1, 0)) * t_int(2))
             + e_range(1, 1, m, m) * e_range(1, 1, m, m) * qt_monomial(1, -1, 0))
     assert qt_elementary((1, 1), m) == want
+
+
+def test_qt_elementary_matches_iterated_y_operator_product():
+    # the rescaled transported e_lam against the iterated product, each
+    # factor applied by the Y-operator oracle
+    for n in range(0, 4):
+        m = max(2 * n, 1)
+        for lam in partitions_of(n):
+            out = XPoly.one(m)
+            for part in reversed(lam):
+                out = star_by_y_operators(e_range(part, 1, m, m), out)
+            assert qt_elementary(lam, m).to_json() == out.to_json(), lam
 
 
 def test_qt_elementary_headroom():

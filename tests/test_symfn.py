@@ -112,6 +112,25 @@ def test_expand_in_e_round_trip():
         assert expand_in_e(exp.to_xpoly(m)) == exp
 
 
+def test_to_xpoly_matches_e_poly_products():
+    # m below n drops the e_lam with lam_1 > m and the monomials with more
+    # than m parts; coefficients that cancel on a dominant monomial leave
+    # its whole orbit out
+    rng = random.Random(6)
+    for n in range(0, 6):
+        parts = partitions_of(n)
+        for m in range(1, n + 3):
+            coeffs = {lam: _random_coeff(rng) for lam in parts if rng.random() < 0.7}
+            exp = EExpansion(n, coeffs)
+            want = XPoly.zero(m)
+            for lam, c in exp.coeffs.items():
+                want = want + e_poly(lam, m) * c
+            assert exp.to_xpoly(m).to_json() == want.to_json(), (n, m)
+    # 2 e_2 - e_1^2 is -p_2: the X1*X2 orbit cancels
+    exp = EExpansion(2, {(2,): 2, (1, 1): -1})
+    assert exp.to_xpoly(3) == XPoly(3, {(2, 0, 0): -1, (0, 2, 0): -1, (0, 0, 2): -1})
+
+
 def test_expand_in_e_known():
     # the square of e_1 in two variables
     f = e_poly((1,), 2) * e_poly((1,), 2)

@@ -1,12 +1,14 @@
 """Tests for the X-variable Laurent polynomial ring."""
 
+import itertools
 import random
 
 import pytest
 
 from qtchroma.qt import QTCoeff, ONE, from_int, qt_monomial
 from qtchroma.xring import (XPoly, XError, resolve_index, truncate, swap_vars,
-                            is_symmetric, assert_integral, render_xpoly)
+                            is_symmetric, assert_integral, render_xpoly,
+                            _distinct_perms)
 
 
 def rand_xpoly(rng, m, deg=3, nterms=4):
@@ -106,6 +108,12 @@ def test_swap_and_symmetry():
     assert is_symmetric(p, 2)
     assert not is_symmetric(p)
     assert is_symmetric(XPoly(3, {(0, 1, 2): t}), 1)
+
+
+def test_distinct_perms():
+    for p in [(), (0,), (2, 0, 2), (1, 1, 1), (3, 1, 0, 1), (2, 1, 0, 0, 1)]:
+        got = list(_distinct_perms(p))
+        assert got == sorted(set(itertools.permutations(p))), p
 
 
 def test_assert_integral():
