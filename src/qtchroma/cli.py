@@ -156,7 +156,7 @@ def cmd_qt_elem(args):
 
 def cmd_verify(args):
     fn = SUITES[args.suite]
-    kwargs = {"jobs": args.jobs}
+    kwargs = {}
     if args.suite == "relations":
         kwargs.update(m_max=args.m or 5, deg_max=4, count=args.count, seed=args.seed)
     elif args.suite == "modular":
@@ -213,7 +213,6 @@ def build_parser():
                                             "symmetric function calculator")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_seq_flags(sp):

@@ -3,8 +3,11 @@ quantum product.
 
 A Y-polynomial is an XPoly whose variables are read as the commuting
 operators Y_1..Y_m; the transport map evaluates the operator on 1.
-Its inverse is computed only on the symmetric subspace via an exact
-linear solve in e-basis coordinates.  Symmetric polynomials in the Y
+Its inverse is computed only on the symmetric subspace, by back
+substitution in e-basis coordinates: the e-coordinates of e_lam(Y) . 1
+hold only e_mu with mu >= lam (lex) and a monomial e_lam coefficient,
+and each such column is built lazily, the first time the solve reaches
+lam with a nonzero coefficient.  Symmetric polynomials in the Y
 operators commute, so the quantum product of f and g is the ordinary
 product of their transported e-coordinates, mapped back through the
 images e_nu(Y) . 1.
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .qt import ZERO, from_int, qt_monomial, t_int
+from .qt import from_int, qt_monomial, t_int
 from .xring import XPoly, XError
 from .hecke import apply_Y, apply_T, apply_pi
 from .symfn import EExpansion, SymFnError, partitions_of, e_range, expand_in_e
@@ -72,50 +75,22 @@ def q_map_e(lam, m):
     return _e_image(m, lam)
 
 
-@lru_cache(maxsize=32)
-def _columns(m, d):
-    """The transported elementaries of degree d in e-coordinates.
+@lru_cache(maxsize=128)
+def _column(m, lam):
+    """The e-coordinates of e_lam(Y) . 1 as (diagonal, other items).
 
-    Row mu, column lam holds the coefficient of e_mu in q_map_e(lam, m),
-    both over partitions_of(d); rows are tuples so callers cannot mutate
-    them.
+    Checked once when built: only e_mu with mu >= lam (lex) may occur,
+    and the e_lam coefficient must be a monomial, so back substitution
+    divides only by monomials.  The items are a tuple so callers cannot
+    mutate the cached column.
     """
-    lams = partitions_of(d)
-    cols = [expand_in_e(q_map_e(lam, m)).coeffs for lam in lams]
-    return tuple(tuple(col.get(mu, ZERO) for col in cols) for mu in lams)
-
-
-def _solve(matrix, rhs):
-    """Exact Gaussian elimination; matrix is a list of rows of QTCoeff."""
-    nrow = len(matrix)
-    ncol = len(matrix[0]) if nrow else 0
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    piv_cols = []
-    r = 0
-    for col in range(ncol):
-        piv = next((i for i in range(r, nrow) if not aug[i][col].is_zero()), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = aug[r][col].inverse()
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(nrow):
-            if i != r and not aug[i][col].is_zero():
-                fac = aug[i][col]
-                aug[i] = [a - fac * b for a, b in zip(aug[i], aug[r])]
-        piv_cols.append(col)
-        r += 1
-        if r == nrow:
-            break
-    if len(piv_cols) < ncol:
-        raise QMapError("singular transport system; increase the variable count")
-    for i in range(r, nrow):
-        if not aug[i][ncol].is_zero():
-            raise QMapError("inconsistent transport system")
-    sol = [ZERO] * ncol
-    for i, col in enumerate(piv_cols):
-        sol[col] = aug[i][ncol]
-    return sol
+    coeffs = expand_in_e(q_map_e(lam, m)).coeffs
+    diag = coeffs.get(lam)
+    if (diag is None or len(diag.num.terms) != 1 or len(diag.den.terms) != 1
+            or any(mu < lam for mu in coeffs)):
+        raise QMapError("transported e_%s at m=%d is not triangular"
+                        % (lam, m))
+    return diag, tuple((mu, c) for mu, c in coeffs.items() if mu != lam)
 
 
 def q_map_inv_sym(f):
@@ -123,7 +98,11 @@ def q_map_inv_sym(f):
 
     Returns the unique EExpansion c with sum_lam c_lam * q_map_e(lam)
     equal to f.  Needs f symmetric homogeneous with enough variables
-    (m >= 2*degree) so the images stay linearly independent.
+    (m >= 2*degree) so the images stay linearly independent.  Solves by
+    back substitution in ascending lex order: the column of lam holds
+    only e_mu with mu >= lam and a monomial e_lam coefficient, so the
+    lowest partition left with a nonzero coefficient fixes c_lam, and
+    only the columns the solve reaches are built.
     """
     if f.is_zero():
         return EExpansion(0, {})
@@ -137,10 +116,19 @@ def q_map_inv_sym(f):
         raise QMapError(str(exc)) from None
     if d == 0:
         return target
-    lams = partitions_of(d)
-    rhs = [target.coeffs.get(mu, ZERO) for mu in lams]
-    sol = _solve([list(row) for row in _columns(f.m, d)], rhs)
-    return EExpansion(d, {lam: c for lam, c in zip(lams, sol) if not c.is_zero()})
+    rest = dict(target.coeffs)
+    sol = {}
+    for lam in reversed(partitions_of(d)):
+        c = rest.pop(lam, None)
+        if c is None or c.is_zero():
+            continue
+        diag, others = _column(f.m, lam)
+        x = c / diag
+        sol[lam] = x
+        for mu, k in others:
+            r = rest.get(mu)
+            rest[mu] = -(x * k) if r is None else r - x * k
+    return EExpansion(d, sol)
 
 
 def apply_e_r_Y(r, g):

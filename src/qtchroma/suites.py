@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 
-from .qt import qt_monomial, t_int, t_factorial, from_int, ONE, limit_q_infinity, QTError
-from .xring import XPoly, truncate, is_symmetric, assert_integral, render_xpoly
-from .hecke import apply_s, apply_T, apply_T_inv, apply_pi, apply_Y
-from .symfn import e_poly, e_range, expand_in_e, partitions_of
+from .qt import qt_monomial
+from .xring import XPoly, is_symmetric, assert_integral, render_xpoly
+from .hecke import apply_T, apply_pi, apply_Y
+from .symfn import e_poly
 from .graphs import enumerate_eseqs, modular_triples, concat, graph_from_eseq, chromatic_qsf
-from .qtcsf import (qt_csf, qt_csf_via_s, check_stability, check_q1_collapse,
+from .qtcsf import (qt_csf, check_stability, check_q1_collapse,
                     check_dist_identity, check_qinf_limit, c_lambda)
 from .qmapstar import q_map_e, q_map_inv_sym, star, check_pieri, apply_e_r_Y
 
@@ -56,22 +55,14 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _run(suite, checks, jobs=1):
+def _run(suite, checks):
     """Run (case_id, thunk) pairs; thunk returns None or (expected, actual)."""
     start = time.time()
     failures = []
-
-    def one(item):
-        case, thunk = item
+    for case, thunk in checks:
         bad = thunk()
-        return None if bad is None else (case, bad[0], bad[1])
-
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, checks))
-    else:
-        results = [one(item) for item in checks]
-    failures = [r for r in results if r is not None]
+        if bad is not None:
+            failures.append((case, bad[0], bad[1]))
     return VerifyReport(suite, len(checks), failures, time.time() - start)
 
 
@@ -98,13 +89,12 @@ def _rand_poly(rng, m, deg, nterms=3):
     return XPoly(m, terms)
 
 
-def suite_relations(m_max=5, deg_max=4, count=50, seed=0, jobs=1):
+def suite_relations(m_max=5, deg_max=4, count=50, seed=0):
     """Operator relation checks on random polynomials, fixed seed."""
     rng = random.Random(seed)
     checks = []
     t = qt_monomial(1, 0, 1)
     for m in range(2, m_max + 1):
-        e2y_parts = partitions_of(2)  # used for centrality at degree 2
         for deg in range(1, deg_max + 1):
             for trial in range(count):
                 f = _rand_poly(rng, m, deg)
@@ -157,10 +147,10 @@ def suite_relations(m_max=5, deg_max=4, count=50, seed=0, jobs=1):
                         rhs = apply_T(ti, apply_e_r_Y(2, f))
                         return None if lhs == rhs else (render_xpoly(rhs), render_xpoly(lhs))
                     checks.append(("centrality " + tag, central))
-    return _run("relations", checks, jobs)
+    return _run("relations", checks)
 
 
-def suite_modular(n=4, m=5, jobs=1):
+def suite_modular(n=4, m=5):
     """The three-term linear relation on both computation paths."""
     checks = []
     t = qt_monomial(1, 0, 1)
@@ -180,19 +170,19 @@ def suite_modular(n=4, m=5, jobs=1):
                        + chromatic_qsf(graph_from_eseq(epp), nn))
                 return None if lhs == rhs else (render_xpoly(rhs), render_xpoly(lhs))
             checks.append(("coloring " + case, oracle_side))
-    return _run("modular", checks, jobs)
+    return _run("modular", checks)
 
 
-def suite_stability(n=4, m=6, jobs=1):
+def suite_stability(n=4, m=6):
     checks = []
     for e in enumerate_eseqs(n):
         for mp in range(2, m):
             case = "%s m=%d m'=%d" % (e, m, mp)
             checks.append((case, _bool_check(lambda e=e, mp=mp: check_stability(e, m, mp))))
-    return _run("stability", checks, jobs)
+    return _run("stability", checks)
 
 
-def suite_symmetry(n=5, m=6, jobs=1):
+def suite_symmetry(n=5, m=6):
     checks = []
     for nn in range(1, n + 1):
         for e in enumerate_eseqs(nn):
@@ -200,10 +190,10 @@ def suite_symmetry(n=5, m=6, jobs=1):
                 case = "%s m=%d" % (e, mm)
                 checks.append((case, _bool_check(
                     lambda e=e, mm=mm: is_symmetric(qt_csf(e, mm)))))
-    return _run("symmetry", checks, jobs)
+    return _run("symmetry", checks)
 
 
-def suite_integrality(n=5, m=6, jobs=1):
+def suite_integrality(n=5, m=6):
     checks = []
     for nn in range(1, n + 1):
         for e in enumerate_eseqs(nn):
@@ -211,39 +201,39 @@ def suite_integrality(n=5, m=6, jobs=1):
                 case = "%s m=%d" % (e, mm)
                 checks.append((case, _bool_check(
                     lambda e=e, mm=mm: assert_integral(qt_csf(e, mm)))))
-    return _run("integrality", checks, jobs)
+    return _run("integrality", checks)
 
 
-def suite_q1(n=5, m=6, jobs=1):
+def suite_q1(n=5, m=6):
     checks = [("%s m=%d" % (e, m), _bool_check(lambda e=e: check_q1_collapse(e, m)))
               for e in enumerate_eseqs(n)]
-    return _run("q1", checks, jobs)
+    return _run("q1", checks)
 
 
-def suite_qinf(n=5, m=None, jobs=1):
+def suite_qinf(n=5, m=None):
     if m is None:
         m = max(n, 2)
     checks = [("%s m=%d" % (e, m), _bool_check(lambda e=e: check_qinf_limit(e, m)))
               for e in enumerate_eseqs(n)]
-    return _run("qinf", checks, jobs)
+    return _run("qinf", checks)
 
 
-def suite_dist(n=5, jobs=1):
+def suite_dist(n=5):
     checks = []
     for nn in range(1, n + 1):
         for e in enumerate_eseqs(nn):
             checks.append(("%s" % (e,), _bool_check(lambda e=e: check_dist_identity(e))))
-    return _run("dist", checks, jobs)
+    return _run("dist", checks)
 
 
-def suite_pieri(r=5, jobs=1):
+def suite_pieri(r=5):
     checks = [("r=%d m=%d" % (rr, 2 * rr + 2),
                _bool_check(lambda rr=rr: check_pieri(rr, 2 * rr + 2)))
               for rr in range(0, r + 1)]
-    return _run("pieri", checks, jobs)
+    return _run("pieri", checks)
 
 
-def suite_mult(n=4, m=None, jobs=1):
+def suite_mult(n=4, m=None):
     if m is None:
         m = 2 * n
     checks = []
@@ -258,10 +248,10 @@ def suite_mult(n=4, m=None, jobs=1):
                         rhs = star(qt_csf(e1, m), qt_csf(e2, m))
                         return None if lhs == rhs else (render_xpoly(rhs), render_xpoly(lhs))
                     checks.append((case, thunk))
-    return _run("mult", checks, jobs)
+    return _run("mult", checks)
 
 
-def suite_qmap(r=5, m=10, jobs=1):
+def suite_qmap(r=5, m=10):
     """Transported elementaries against the closed form, plus round trips."""
     checks = []
     for mm in range(2, m + 1):
@@ -282,7 +272,7 @@ def suite_qmap(r=5, m=10, jobs=1):
                 rhs = c_lambda(e)
                 return None if lhs == rhs else (str(rhs), str(lhs))
             checks.append((case, rt))
-    return _run("qmap", checks, jobs)
+    return _run("qmap", checks)
 
 
 SUITES = {

@@ -101,6 +101,21 @@ def test_star_cli_rejects_inhomogeneous_g(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_star_cli_non_triangular_transport_exits_2(capsys, monkeypatch):
+    from qtchroma import qmapstar
+    monkeypatch.setattr(qmapstar, "_e_image",
+                        lambda m, lam: e_poly((1,) * sum(lam), m))
+    qmapstar._column.cache_clear()
+    try:
+        code, out, err = run(capsys, "star", "--f", "e[1]", "--g", "e[2]",
+                             "--m", "6")
+    finally:
+        qmapstar._column.cache_clear()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "not triangular" in err
+
+
 def test_qt_elem_cli(capsys):
     code, out, _ = run(capsys, "qt-elem", "--partition", "2", "--m", "4",
                        "--basis", "e")

@@ -10,6 +10,7 @@ from qtchroma.xring import XPoly, is_symmetric
 from qtchroma.symfn import partitions_of, e_poly, e_range, expand_in_e, EExpansion
 from qtchroma.graphs import enumerate_eseqs, concat
 from qtchroma.qtcsf import qt_csf, c_lambda
+from qtchroma import qmapstar
 from qtchroma.qmapstar import (QMapError, q_map, q_map_e, q_map_inv_sym, star,
                                qt_elementary, apply_e_r_Y, pieri_rhs,
                                check_pieri)
@@ -156,6 +157,47 @@ def test_q_map_inv_sym_round_trips_every_degree_at_one_m():
         for lam, c in want.coeffs.items():
             f = f + q_map_e(lam, m) * c
         assert q_map_inv_sym(f).to_json() == want.to_json()
+
+
+def test_transported_elementaries_are_triangular():
+    # the evidence back substitution rests on: the column of lam holds only
+    # e_mu with mu >= lam (lex), and its e_lam coefficient is the monomial
+    # t^{sum binom(lam_i, 2)} q^{-n(lam)}, n(lam) = sum (i-1) lam_i
+    cases = [(d, m) for d in range(1, 5) for m in range(2 * d, 2 * d + 3)]
+    for d, m in cases + [(5, 10)]:
+        for lam in partitions_of(d):
+            coeffs = expand_in_e(q_map_e(lam, m)).coeffs
+            assert all(mu >= lam for mu in coeffs), (lam, m)
+            te = sum(p * (p - 1) // 2 for p in lam)
+            qe = -sum(i * p for i, p in enumerate(lam))
+            assert coeffs[lam] == qt_monomial(1, qe, te), (lam, m)
+
+
+@pytest.fixture
+def cold_columns():
+    qmapstar._column.cache_clear()
+    yield
+    qmapstar._column.cache_clear()
+
+
+def test_q_map_inv_sym_builds_only_reached_columns(cold_columns):
+    out = q_map_inv_sym(e_poly((5,), 12))
+    assert qmapstar._column.cache_info().misses == 1
+    assert out.to_json() == EExpansion(5, {(5,): qt_monomial(1, 0, -10)}).to_json()
+
+
+def test_q_map_inv_sym_rejects_non_triangular_images(monkeypatch, cold_columns):
+    f = e_poly((2,), 4)
+    # a monomial diagonal, but e_{1,1} sits below (2,) in lex order
+    monkeypatch.setattr(qmapstar, "_e_image",
+                        lambda m, lam: e_poly(lam, m) + e_poly((1,) * sum(lam), m))
+    with pytest.raises(QMapError, match="not triangular"):
+        q_map_inv_sym(f)
+    # a diagonal entry 1 + t is not a monomial
+    monkeypatch.setattr(qmapstar, "_e_image",
+                        lambda m, lam: e_poly(lam, m) * (T + 1))
+    with pytest.raises(QMapError, match="not triangular"):
+        q_map_inv_sym(f)
 
 
 def test_q_map_inv_sym_degree_zero():

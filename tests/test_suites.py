@@ -41,13 +41,6 @@ def test_relations_reproducible():
     assert a.cases == b.cases
 
 
-def test_relations_parallel_matches_serial():
-    a = suite_relations(m_max=3, deg_max=2, count=3, seed=1, jobs=1)
-    b = suite_relations(m_max=3, deg_max=2, count=3, seed=1, jobs=2)
-    assert a.ok and b.ok
-    assert a.cases == b.cases
-
-
 def test_modular_suite_small():
     rep = suite_modular(n=3, m=4)
     assert rep.ok
