@@ -1,8 +1,8 @@
 """Exact computation of two-parameter chromatic symmetric functions of
 unit interval graphs through an affine Hecke algebra action."""
 
-from .qt import (QTError, QTLaurent, QTCoeff, from_int, qt_monomial, t_int,
-                 t_factorial, specialize_q1, limit_q_infinity, ZERO, ONE)
+from .qt import (QTError, QTCoeff, from_int, qt_monomial, t_int, t_factorial,
+                 specialize_q1, limit_q_infinity, ZERO, ONE)
 from .xring import (XError, XPoly, resolve_index, truncate, is_symmetric,
                     assert_integral, render_xpoly)
 from .hecke import (HeckeError, apply_s, apply_T, apply_T_inv, apply_pi,

@@ -11,10 +11,10 @@ import json
 import re
 import sys
 
-from .qt import QTError, specialize_q1, limit_q_infinity, render_coeff
+from .qt import QTError, specialize_q1, limit_q_infinity
 from .xring import XPoly, XError, render_xpoly
 from .hecke import HeckeError
-from .symfn import EExpansion, SymFnError, e_poly, expand_in_e
+from .symfn import SymFnError, e_poly, expand_in_e, _render_terms
 from .graphs import (GraphError, check_eseq, aseq_to_eseq, hseq_to_eseq,
                      eseq_to_aseq, eseq_to_hseq, graph_from_eseq, chromatic_qsf,
                      enumerate_eseqs)
@@ -25,23 +25,7 @@ from .suites import SUITES
 
 def render_eexp(exp):
     """Text form with partitions in ascending lexicographic order."""
-    if not exp.coeffs:
-        return "0"
-    parts = []
-    for lam in sorted(exp.coeffs):
-        c = exp.coeffs[lam]
-        cs = render_coeff(c)
-        body = "e[%s]" % ",".join(str(p) for p in lam)
-        if cs == "1":
-            parts.append(body)
-        elif cs == "-1":
-            parts.append("-" + body)
-        else:
-            parts.append("%s*%s" % (cs, body))
-    out = parts[0]
-    for p in parts[1:]:
-        out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-    return out
+    return _render_terms(sorted(exp.coeffs.items()))
 
 
 def _parse_seq(args):
@@ -69,7 +53,7 @@ def parse_symfn(text, m):
     if not s:
         raise XError("empty symmetric-function literal")
     s = s.replace("-", "+-")
-    out = XPoly.zero(m)
+    out = XPoly(m)
     for chunk in s.split("+"):
         if not chunk:
             continue
@@ -224,8 +208,9 @@ def build_parser():
     add_seq_flags(sp)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--basis", choices=("monomial", "e"), default="monomial")
-    sp.add_argument("--q1", action="store_true", help="specialize q=1")
-    sp.add_argument("--qinf", action="store_true", help="take the q->infinity limit")
+    spec = sp.add_mutually_exclusive_group()
+    spec.add_argument("--q1", action="store_true", help="specialize q=1")
+    spec.add_argument("--qinf", action="store_true", help="take the q->infinity limit")
     sp.set_defaults(func=cmd_compute)
 
     sp = sub.add_parser("expand", help="e-expansion of the coloring sum")

@@ -9,14 +9,11 @@ T_0 is the conjugate Pi T_{m-1} Pi^{-1}.
 
 from __future__ import annotations
 
-from .qt import QTCoeff, QTLaurent, qt_monomial, _ONE_TERMS, _QL_ONE
+from .qt import QTCoeff, qt_monomial
 from .xring import XPoly, XError, swap_vars
 
 _T = qt_monomial(1, 0, 1)          # t
 _TINV = qt_monomial(1, 0, -1)      # t^-1
-# t^hi - t^lo keyed by (hi, lo): the t - 1 and 1 - t^-1 factors and negatives
-_TDIFF = {(hi, lo): qt_monomial(1, 0, hi) - qt_monomial(1, 0, lo)
-          for hi, lo in ((1, 0), (0, 1), (0, -1), (-1, 0))}
 
 
 class HeckeError(ValueError):
@@ -52,14 +49,8 @@ def apply_s(i, f):
 
 
 def _times_tdiff(c, hi, lo):
-    """c * (t^hi - t^lo), as two shifts and a subtract when c has denominator 1.
-
-    Otherwise the generic product is kept: the factor can cancel against the
-    denominator, and only the normalizing constructor restores normal form.
-    """
-    if c.den.terms != _ONE_TERMS:
-        return c * _TDIFF[hi, lo]
-    n = c.num.terms
+    """c * (t^hi - t^lo), as two shifts and a subtract."""
+    n = c.terms
     out = {(qe, te + hi): v for (qe, te), v in n.items()}
     for (qe, te), v in n.items():
         k = (qe, te + lo)
@@ -68,7 +59,7 @@ def _times_tdiff(c, hi, lo):
             out[k] = s
         else:
             del out[k]
-    return QTCoeff._raw(QTLaurent._raw(out), _QL_ONE)
+    return QTCoeff._raw(out)
 
 
 def _t_pair(out, i, e, c, k, l):

@@ -86,8 +86,7 @@ def _column(m, lam):
     """
     coeffs = expand_in_e(q_map_e(lam, m)).coeffs
     diag = coeffs.get(lam)
-    if (diag is None or len(diag.num.terms) != 1 or len(diag.den.terms) != 1
-            or any(mu < lam for mu in coeffs)):
+    if diag is None or len(diag.terms) != 1 or any(mu < lam for mu in coeffs):
         raise QMapError("transported e_%s at m=%d is not triangular"
                         % (lam, m))
     return diag, tuple((mu, c) for mu, c in coeffs.items() if mu != lam)

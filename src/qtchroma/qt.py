@@ -1,36 +1,38 @@
-"""Exact arithmetic in the rational function field Q(q,t).
+"""Exact arithmetic in the Laurent polynomial ring Z[q^±1, t^±1].
 
-Elements are fractions of integer Laurent polynomials in the two variables
-q and t.  Every ``QTCoeff`` is kept in a normal form (coprime numerator and
-denominator, denominator a genuine polynomial with minimal exponents and a
-positive leading coefficient under graded-lex order with q > t), so equality
-is plain structural comparison.
+A coefficient is a finite sum of terms c * q^a * t^b with integers c, a
+and b, kept as a dict {(a, b): c} with no zero values, so equality is
+plain structural comparison.  Division is exact: it succeeds only when
+the quotient is again a Laurent polynomial with integer coefficients.
 """
 
 from __future__ import annotations
 
-from math import gcd as _igcd
-
 
 class QTError(ArithmeticError):
-    """Raised for domain errors in Q(q,t) arithmetic (bad division, bad limits)."""
+    """Raised for domain errors in Z[q^±1, t^±1] arithmetic (inexact
+    division, non-units, bad limits)."""
 
 
-# ---------------------------------------------------------------------------
-# Integer Laurent polynomials in q, t: dict {(qexp, texp): int}, no zeros.
-# ---------------------------------------------------------------------------
+class QTCoeff:
+    """A Laurent polynomial in q and t with integer coefficients.
 
-class QTLaurent:
-    """A Laurent polynomial in q and t with integer coefficients."""
+    terms maps (qexp, texp) to a nonzero int.  QTCoeff(num, den) divides
+    exactly; num and den read the value back as the fraction num/1.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for k, v in terms.items():
-                if v:
-                    self.terms[k] = v
+    def __init__(self, num=None, den=None):
+        if isinstance(num, QTCoeff):
+            terms = num.terms
+        elif isinstance(num, int):
+            terms = {(0, 0): num} if num else {}
+        else:
+            terms = {k: v for k, v in num.items() if v} if num else {}
+        if den is not None:
+            terms = (QTCoeff._raw(terms) / QTCoeff(den)).terms
+        self.terms = terms
 
     @classmethod
     def _raw(cls, terms):
@@ -39,13 +41,17 @@ class QTLaurent:
         self.terms = terms
         return self
 
-    @classmethod
-    def zero(cls):
-        return cls._raw({})
+    @property
+    def num(self):
+        """The numerator of the value as a fraction: the value itself."""
+        return self
 
-    @classmethod
-    def monomial(cls, c, qe=0, te=0):
-        return cls._raw({(qe, te): c} if c else {})
+    @property
+    def den(self):
+        """The denominator of the value as a fraction: always ONE."""
+        return ONE
+
+    # -- predicates ---------------------------------------------------------
 
     def is_zero(self):
         return not self.terms
@@ -54,464 +60,137 @@ class QTLaurent:
         return bool(self.terms)
 
     def __eq__(self, other):
-        return isinstance(other, QTLaurent) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self):
-        return QTLaurent._raw({k: -v for k, v in self.terms.items()})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return QTLaurent._raw(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, 0) - v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return QTLaurent._raw(out)
-
-    def __mul__(self, other):
-        if not self.terms or not other.terms:
-            return QTLaurent._raw({})
-        if len(other.terms) == 1:
-            # A monomial factor only shifts keys: no collisions, no zeros.
-            ((dq, dt), vb), = other.terms.items()
-            return QTLaurent._raw({(qa + dq, ta + dt): va * vb
-                                   for (qa, ta), va in self.terms.items()})
-        out = {}
-        for (qa, ta), va in self.terms.items():
-            for (qb, tb), vb in other.terms.items():
-                k = (qa + qb, ta + tb)
-                s = out.get(k, 0) + va * vb
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return QTLaurent._raw(out)
-
-    def shifted(self, dq, dt):
-        """Multiply by the monomial q^dq * t^dt."""
-        if not (dq or dt):
-            return self
-        return QTLaurent._raw({(qe + dq, te + dt): v for (qe, te), v in self.terms.items()})
-
-    def min_exps(self):
-        qs = [qe for qe, _ in self.terms]
-        ts = [te for _, te in self.terms]
-        return min(qs), min(ts)
-
-    def max_qexp(self):
-        return max(qe for qe, _ in self.terms)
-
-    def subs_q1(self):
-        """Substitute q = 1, returning a Laurent polynomial in t alone."""
-        out = {}
-        for (qe, te), v in self.terms.items():
-            k = (0, te)
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return QTLaurent._raw(out)
-
-    def lead_qcoeff(self):
-        """Coefficient (in t) of the highest power of q."""
-        mq = self.max_qexp()
-        return QTLaurent._raw({(0, te): v for (qe, te), v in self.terms.items() if qe == mq})
-
-    def __repr__(self):
-        return "QTLaurent(%r)" % (self.terms,)
-
-
-# ---------------------------------------------------------------------------
-# gcd over Z[q,t] via primitive pseudo-remainder sequences, one variable at
-# a time.  Polynomials in t are dense coefficient lists; polynomials in q
-# over Z[t] are lists of those lists.
-# ---------------------------------------------------------------------------
-
-def _tp_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-def _tp_neg(a):
-    return [-c for c in a]
-
-def _tp_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _tp_trim(out)
-
-def _tp_content(a):
-    g = 0
-    for c in a:
-        g = _igcd(g, abs(c))
-    return g
-
-def _tp_divexact_int(a, n):
-    return [c // n for c in a]
-
-def _tp_prem(a, b):
-    """Pseudo-remainder of a by b over Z (b nonzero)."""
-    db = len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    while len(r) - 1 >= db and r:
-        dr = len(r) - 1
-        lead = r[-1]
-        r = [lb * c for c in r]
-        for j in range(db + 1):
-            r[dr - db + j] -= lead * b[j]
-        _tp_trim(r)
-    return r
-
-def _tp_primitive(a):
-    if not a:
-        return a
-    c = _tp_content(a)
-    if a[-1] < 0:
-        c = -c
-    return _tp_divexact_int(a, c)
-
-def _tp_gcd(a, b):
-    """gcd in Z[t] up to sign (leading coefficient positive), content included."""
-    a, b = list(a), list(b)
-    if not a:
-        b = list(b)
-        return b if not b else [c if b[-1] > 0 else -c for c in b]
-    if not b:
-        return a if a[-1] > 0 else _tp_neg(a)
-    ca, cb = _tp_content(a), _tp_content(b)
-    a = _tp_primitive(a)
-    b = _tp_primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _tp_prem(a, b)
-        a, b = b, _tp_primitive(r)
-    c = _igcd(ca, cb)
-    return _tp_trim([c * x for x in _tp_primitive(a)])
-
-def _tp_divexact(a, b):
-    """Exact division in Z[t]; raises if not exact."""
-    if not a:
-        return []
-    db = len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    q = [0] * (len(a) - db)
-    while r and len(r) - 1 >= db:
-        dr = len(r) - 1
-        c, rem = divmod(r[-1], lb)
-        if rem:
-            raise QTError("inexact polynomial division in Z[t]")
-        q[dr - db] = c
-        for j in range(db + 1):
-            r[dr - db + j] -= c * b[j]
-        _tp_trim(r)
-    if r:
-        raise QTError("inexact polynomial division in Z[t]")
-    return q
-
-def _qp_trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-def _qp_content(a):
-    g = []
-    for c in a:
-        if c:
-            g = _tp_gcd(g, c)
-    return g
-
-def _qp_scale(a, tp):
-    return [_tp_mul(c, tp) for c in a]
-
-def _qp_divexact_tp(a, tp):
-    return [_tp_divexact(c, tp) for c in a]
-
-def _qp_primitive(a):
-    if not a:
-        return a
-    c = _qp_content(a)
-    if a[-1][-1] < 0:
-        c = _tp_neg(c)
-    return _qp_divexact_tp(a, c)
-
-def _qp_sub_shifted(r, c, b, shift):
-    """r -= c * b * q^shift, in place on the list-of-lists representation."""
-    for j, bj in enumerate(b):
-        if bj:
-            prod = _tp_mul(c, bj)
-            tgt = r[shift + j]
-            n = max(len(tgt), len(prod))
-            tgt = tgt + [0] * (n - len(tgt))
-            for k, v in enumerate(prod):
-                tgt[k] -= v
-            r[shift + j] = _tp_trim(tgt)
-    return r
-
-def _qp_prem2(a, b):
-    """Pseudo-remainder in (Z[t])[q]."""
-    db = len(b) - 1
-    lb = b[-1]
-    r = [list(c) for c in a]
-    while r and len(r) - 1 >= db:
-        dr = len(r) - 1
-        lead = r[-1]
-        # scale by lb, then cancel the leading term with lead * b * q^(dr-db)
-        r = [_tp_mul(lb, c) for c in r]
-        r = _qp_sub_shifted(r, lead, b, dr - db)
-        _qp_trim(r)
-    return r
-
-def _qp_gcd(a, b):
-    if not a:
-        return _qp_primitive(b)
-    if not b:
-        return _qp_primitive(a)
-    ca, cb = _qp_content(a), _qp_content(b)
-    a = _qp_primitive(a)
-    b = _qp_primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _qp_prem2(a, b)
-        a, b = b, _qp_primitive(r)
-    c = _tp_gcd(ca, cb)
-    return _qp_trim(_qp_scale(a, c))
-
-def _qp_divexact(a, b):
-    if not a:
-        return []
-    db = len(b) - 1
-    lb = b[-1]
-    r = [list(c) for c in a]
-    q = [[] for _ in range(len(a) - db)]
-    while r and len(r) - 1 >= db:
-        dr = len(r) - 1
-        c = _tp_divexact(r[-1], lb)
-        q[dr - db] = c
-        r = _qp_sub_shifted(r, c, b, dr - db)
-        _qp_trim(r)
-    if r:
-        raise QTError("inexact polynomial division in Z[q,t]")
-    return q
-
-
-def _dict_to_qp(d):
-    """{(qe,te): c} with nonnegative exponents -> list over qe of t-lists."""
-    mq = max(qe for qe, _ in d)
-    out = [[] for _ in range(mq + 1)]
-    for (qe, te), v in d.items():
-        row = out[qe]
-        if len(row) <= te:
-            row.extend([0] * (te + 1 - len(row)))
-        row[te] = v
-    for row in out:
-        _tp_trim(row)
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-def _qp_to_dict(a):
-    out = {}
-    for qe, row in enumerate(a):
-        for te, v in enumerate(row):
-            if v:
-                out[(qe, te)] = v
-    return out
-
-
-def gcd_zqt(a, b):
-    """gcd of two polynomial dicts over Z[q,t] (nonnegative exponents)."""
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    g = _qp_gcd(_dict_to_qp(a), _dict_to_qp(b))
-    return _qp_to_dict(g)
-
-
-# ---------------------------------------------------------------------------
-# QTCoeff: normalized fraction num/den of QTLaurent values.
-# ---------------------------------------------------------------------------
-
-def _grlex_lead_sign(d):
-    key = max(d, key=lambda k: (k[0] + k[1], k[0]))
-    return 1 if d[key] > 0 else -1
-
-def _normalize(num, den):
-    """Normal form for a fraction of term-dicts.  Returns (num, den)."""
-    if not den:
-        raise ZeroDivisionError("division by zero in Q(q,t)")
-    if not num:
-        return {}, {(0, 0): 1}
-    if len(den) == 1:
-        ((dq, dt), dc), = den.items()
-        if dq or dt:
-            num = {(qe - dq, te - dt): v for (qe, te), v in num.items()}
-        g = 0
-        for v in num.values():
-            g = _igcd(g, abs(v))
-        g = _igcd(g, abs(dc))
-        if dc < 0:
-            g = -g
-        num = {k: v // g for k, v in num.items()}
-        dc //= g
-        return num, {(0, 0): dc}
-    # Shift the denominator to minimal nonnegative exponents.
-    dq = min(qe for qe, _ in den)
-    dt = min(te for _, te in den)
-    if dq or dt:
-        den = {(qe - dq, te - dt): v for (qe, te), v in den.items()}
-        num = {(qe - dq, te - dt): v for (qe, te), v in num.items()}
-    # Pull the monomial content out of the numerator.
-    nq = min(qe for qe, _ in num)
-    nt = min(te for _, te in num)
-    numpoly = {(qe - nq, te - nt): v for (qe, te), v in num.items()}
-    g = gcd_zqt(numpoly, den)
-    if len(g) > 1 or g.get((0, 0), 1) != 1:
-        gqp = _dict_to_qp(g)
-        numpoly = _qp_to_dict(_qp_divexact(_dict_to_qp(numpoly), gqp))
-        den = _qp_to_dict(_qp_divexact(_dict_to_qp(den), gqp))
-    if _grlex_lead_sign(den) < 0:
-        den = {k: -v for k, v in den.items()}
-        numpoly = {k: -v for k, v in numpoly.items()}
-    num = {(qe + nq, te + nt): v for (qe, te), v in numpoly.items()}
-    if len(den) == 1:
-        # gcd removal may have reduced the denominator to a monomial
-        return _normalize(num, den)
-    return num, den
-
-
-class QTCoeff:
-    """An element of Q(q,t) in normal form."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if isinstance(num, QTCoeff):
-            q = num if den is None else num / QTCoeff(den)
-            self.num = q.num
-            self.den = q.den
-            return
-        if isinstance(num, int):
-            num = QTLaurent.monomial(num)
-        if den is None:
-            den = _ONE_TERMS
-        elif isinstance(den, QTLaurent):
-            den = den.terms
-        else:
-            den = {k: v for k, v in den.items() if v}
-        if isinstance(num, QTLaurent):
-            num = num.terms
-        else:
-            num = {k: v for k, v in num.items() if v}
-        n, d = _normalize(num, den)
-        self.num = QTLaurent._raw(n)
-        self.den = QTLaurent._raw(d)
-
-    @classmethod
-    def _raw(cls, num, den):
-        self = cls.__new__(cls)
-        self.num = num
-        self.den = den
-        return self
-
-    # -- predicates ---------------------------------------------------------
-
-    def is_zero(self):
-        return not self.num.terms
-
-    def is_one(self):
-        return self.num.terms == _ONE_TERMS and self.den.terms == _ONE_TERMS
-
-    def __bool__(self):
-        return bool(self.num.terms)
-
-    def __eq__(self, other):
         if isinstance(other, int):
             other = from_int(other)
         if not isinstance(other, QTCoeff):
             return NotImplemented
-        return self.num.terms == other.num.terms and self.den.terms == other.den.terms
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((frozenset(self.num.terms.items()), frozenset(self.den.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, int):
             other = from_int(other)
-        if self.den.terms == other.den.terms:
-            n = self.num + other.num
-            if self.den.terms == _ONE_TERMS:
-                return QTCoeff._raw(n, _QL_ONE)
-            return QTCoeff(n, self.den)
-        return QTCoeff(self.num * other.den + other.num * self.den, self.den * other.den)
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            s = out.get(k, 0) + v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return QTCoeff._raw(out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, int):
             other = from_int(other)
-        if self.den.terms == other.den.terms:
-            n = self.num - other.num
-            if self.den.terms == _ONE_TERMS:
-                return QTCoeff._raw(n, _QL_ONE)
-            return QTCoeff(n, self.den)
-        return QTCoeff(self.num * other.den - other.num * self.den, self.den * other.den)
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            s = out.get(k, 0) - v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return QTCoeff._raw(out)
 
     def __rsub__(self, other):
         return from_int(other) - self
 
     def __neg__(self):
-        return QTCoeff._raw(-self.num, self.den)
+        return QTCoeff._raw({k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
             other = from_int(other)
-        if self.den.terms == _ONE_TERMS and other.den.terms == _ONE_TERMS:
-            return QTCoeff._raw(self.num * other.num, _QL_ONE)
-        return QTCoeff(self.num * other.num, self.den * other.den)
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return QTCoeff._raw({})
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # A monomial factor only shifts keys: no collisions, no zeros.
+            ((dq, dt), vb), = b.items()
+            return QTCoeff._raw({(qa + dq, ta + dt): va * vb
+                                 for (qa, ta), va in a.items()})
+        out = {}
+        for (qa, ta), va in a.items():
+            for (qb, tb), vb in b.items():
+                k = (qa + qb, ta + tb)
+                s = out.get(k, 0) + va * vb
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        return QTCoeff._raw(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        """Exact division; QTError when the quotient is not in the ring."""
         if isinstance(other, int):
             other = from_int(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero in Q(q,t)")
-        return QTCoeff(self.num * other.den, self.den * other.num)
+        a, b = self.terms, other.terms
+        if not b:
+            raise ZeroDivisionError("division by zero in Z[q^±1, t^±1]")
+        if not a:
+            return ZERO
+        if len(b) == 1:
+            ((dq, dt), lc), = b.items()
+            out = {}
+            for (qe, te), v in a.items():
+                x, rem = divmod(v, lc)
+                if rem:
+                    raise self._inexact(other)
+                out[qe - dq, te - dt] = x
+            return QTCoeff._raw(out)
+        # Leading-term division under lex order, q before t.  If b divides
+        # a, the Newton polygon of a is that of the quotient plus that of b,
+        # so every quotient term lies in the box below; the terms come out
+        # strictly decreasing, so leaving the box bounds the loop.
+        aq, at = [k[0] for k in a], [k[1] for k in a]
+        bq, bt = [k[0] for k in b], [k[1] for k in b]
+        qlo, qhi = min(aq) - min(bq), max(aq) - max(bq)
+        tlo, thi = min(at) - min(bt), max(at) - max(bt)
+        lq, lt = lead = max(b)
+        lc = b[lead]
+        r = dict(a)
+        out = {}
+        while r:
+            kq, kt = k = max(r)
+            x, rem = divmod(r[k], lc)
+            dq, dt = kq - lq, kt - lt
+            if rem or not (qlo <= dq <= qhi and tlo <= dt <= thi):
+                raise self._inexact(other)
+            out[dq, dt] = x
+            for (qe, te), w in b.items():
+                key = (qe + dq, te + dt)
+                s = r.get(key, 0) - x * w
+                if s:
+                    r[key] = s
+                else:
+                    del r[key]
+        return QTCoeff._raw(out)
 
     def __rtruediv__(self, other):
         return from_int(other) / self
 
+    def _inexact(self, other):
+        return QTError("%s / %s is not a Laurent polynomial"
+                       % (render_coeff(self), render_coeff(other)))
+
     def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in Q(q,t)")
-        return QTCoeff(self.den, self.num)
+        """The inverse of a unit ±q^a*t^b; nothing else is invertible."""
+        if not self.terms:
+            raise ZeroDivisionError("inverse of zero in Z[q^±1, t^±1]")
+        if len(self.terms) == 1:
+            ((qe, te), v), = self.terms.items()
+            if v in (1, -1):
+                return QTCoeff._raw({(-qe, -te): v})
+        raise QTError("%s is not a unit of Z[q^±1, t^±1]" % render_coeff(self))
 
     # -- rendering / serialization ------------------------------------------
 
@@ -522,28 +201,26 @@ class QTCoeff:
         return "QTCoeff(%s)" % render_coeff(self)
 
     def to_json(self):
+        # "den" is kept so the format still reads as a fraction num/den.
         return {
-            "num": [[v, qe, te] for (qe, te), v in sorted(self.num.terms.items())],
-            "den": [[v, qe, te] for (qe, te), v in sorted(self.den.terms.items())],
+            "num": [[v, qe, te] for (qe, te), v in sorted(self.terms.items())],
+            "den": [[1, 0, 0]],
         }
 
     @classmethod
     def from_json(cls, obj):
+        """Read to_json output; QTError for a fraction outside the ring."""
         num = {(qe, te): v for v, qe, te in obj["num"]}
         den = {(qe, te): v for v, qe, te in obj["den"]}
         return cls(num, den)
 
 
-_ONE_TERMS = {(0, 0): 1}
-_QL_ONE = QTLaurent._raw(_ONE_TERMS)
-
-
 def from_int(n):
-    return QTCoeff._raw(QTLaurent.monomial(n), _QL_ONE)
+    return QTCoeff._raw({(0, 0): n} if n else {})
 
 def qt_monomial(c=1, qe=0, te=0):
     """The coefficient c * q^qe * t^te."""
-    return QTCoeff._raw(QTLaurent.monomial(c, qe, te), _QL_ONE)
+    return QTCoeff._raw({(qe, te): c} if c else {})
 
 
 ZERO = from_int(0)
@@ -553,8 +230,8 @@ ONE = from_int(1)
 def t_int(n):
     """The t-integer (1 - t^n)/(1 - t) as an exact coefficient."""
     if n >= 0:
-        return QTCoeff._raw(QTLaurent._raw({(0, i): 1 for i in range(n)}), _QL_ONE)
-    return QTCoeff._raw(QTLaurent._raw({(0, i): -1 for i in range(n, 0)}), _QL_ONE)
+        return QTCoeff._raw({(0, i): 1 for i in range(n)})
+    return QTCoeff._raw({(0, i): -1 for i in range(n, 0)})
 
 def t_factorial(n):
     """Product of the t-integers 1..n."""
@@ -568,22 +245,22 @@ def t_factorial(n):
 
 def specialize_q1(c):
     """Substitute q = 1 exactly; the result involves t only."""
-    den = c.den.subs_q1()
-    if den.is_zero():
-        raise QTError("denominator vanishes at q=1")
-    return QTCoeff(c.num.subs_q1(), den)
+    out = {}
+    for (_, te), v in c.terms.items():
+        k = (0, te)
+        s = out.get(k, 0) + v
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return QTCoeff._raw(out)
 
 def limit_q_infinity(c):
-    """The limit q -> infinity, viewing c as a rational function of q over Q(t)."""
-    if c.is_zero():
-        return ZERO
-    dn = c.num.max_qexp()
-    dd = c.den.max_qexp()
-    if dn > dd:
+    """The limit q -> infinity: the q^0 part, when no positive power of q
+    occurs."""
+    if any(qe > 0 for qe, _ in c.terms):
         raise QTError("divergent at q=infinity")
-    if dn < dd:
-        return ZERO
-    return QTCoeff(c.num.lead_qcoeff(), c.den.lead_qcoeff())
+    return QTCoeff._raw({k: v for k, v in c.terms.items() if k[0] == 0})
 
 
 # ---------------------------------------------------------------------------
@@ -605,20 +282,10 @@ def _render_term(v, qe, te):
         return "-" + body
     return "%d*%s" % (v, body)
 
-def render_laurent(p):
-    if not p.terms:
-        return "0"
-    items = sorted(p.terms.items())
-    s = "+".join(_render_term(v, qe, te) for (qe, te), v in items)
-    return s.replace("+-", "-")
-
 def render_coeff(c):
-    """Canonical text form: bare monomial, (sum), or (num)/(den)."""
-    if c.is_zero():
+    """Canonical text form: 0, a bare monomial, or a parenthesized sum."""
+    if not c.terms:
         return "0"
-    ns = render_laurent(c.num)
-    if c.den.terms == _ONE_TERMS:
-        if len(c.num.terms) == 1:
-            return ns
-        return "(%s)" % ns
-    return "(%s)/(%s)" % (ns, render_laurent(c.den))
+    s = "+".join(_render_term(v, qe, te)
+                 for (qe, te), v in sorted(c.terms.items())).replace("+-", "-")
+    return s if len(c.terms) == 1 else "(%s)" % s

@@ -14,7 +14,7 @@ qt_csf; apply_hatS checks it and on other inputs keeps every monomial.
 
 from __future__ import annotations
 
-from .qt import (ZERO, ONE, qt_monomial, t_factorial, specialize_q1,
+from .qt import (ZERO, qt_monomial, t_factorial, specialize_q1,
                  limit_q_infinity, QTError)
 from .xring import XPoly, XError, truncate, is_symmetric, _distinct_perms
 from .hecke import apply_T_inv, apply_pi
@@ -101,7 +101,8 @@ def qt_csf(eseq, m):
 
     Computed as the product of hat-symmetrizers indexed by m-1-a(i),
     applied from the right to the constant t^{n(m-1)}; every step is linear
-    over Q(q,t), so the constant rides along instead of scaling the result.
+    over Z[q^±1, t^±1], so the constant rides along instead of scaling the
+    result.
     """
     eseq = check_eseq(eseq)
     if m < 2:
@@ -164,16 +165,21 @@ def c_lambda(eseq):
 
 
 def check_dist_identity(eseq):
-    """The weighted sum of the c_lam over lam must telescope to 1."""
+    """The weighted sum of the c_lam / prod_i [lam_i]_t! must telescope to 1.
+
+    Checked with denominators cleared: sum_lam t^{w - e_stat(lam)} c_lam
+    times the t-multinomial [n]_t! / prod_i [lam_i]_t! must equal [n]_t!.
+    """
     eseq = check_eseq(eseq)
     w = eseq_weight(eseq)
+    nfact = t_factorial(len(eseq))
     total = ZERO
     for lam, c in c_lambda(eseq).coeffs.items():
-        denom = ONE
+        multinomial = nfact
         for p in lam:
-            denom = denom * t_factorial(p)
-        total = total + qt_monomial(1, 0, w - e_stat(lam)) * c / denom
-    return total == ONE
+            multinomial = multinomial / t_factorial(p)
+        total = total + qt_monomial(1, 0, w - e_stat(lam)) * c * multinomial
+    return total == nfact
 
 
 def check_qinf_limit(eseq, m):

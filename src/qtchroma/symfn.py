@@ -130,22 +130,7 @@ class EExpansion:
         return XPoly._raw(m, out)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for lam, c in self.items():
-            cs = render_coeff(c)
-            body = "e[%s]" % ",".join(str(p) for p in lam)
-            if cs == "1":
-                parts.append(body)
-            elif cs == "-1":
-                parts.append("-" + body)
-            else:
-                parts.append("%s*%s" % (cs, body))
-        out = parts[0]
-        for p in parts[1:]:
-            out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-        return out
+        return _render_terms(self.items())
 
     def __repr__(self):
         return "EExpansion(n=%d, %s)" % (self.n, self)
@@ -162,6 +147,26 @@ class EExpansion:
         coeffs = {tuple(it["partition"]): QTCoeff.from_json(it["coeff"])
                   for it in obj["coeffs"]}
         return cls(obj["n"], coeffs)
+
+
+def _render_terms(pairs):
+    """Text form of (partition, coefficient) pairs, in the order given."""
+    parts = []
+    for lam, c in pairs:
+        cs = render_coeff(c)
+        body = "e[%s]" % ",".join(str(p) for p in lam)
+        if cs == "1":
+            parts.append(body)
+        elif cs == "-1":
+            parts.append("-" + body)
+        else:
+            parts.append("%s*%s" % (cs, body))
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
+    return out
 
 
 def _zero_one_count(rows, cols, memo):

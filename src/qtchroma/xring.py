@@ -1,4 +1,4 @@
-"""Laurent polynomials in X_1..X_m with coefficients in Q(q,t).
+"""Laurent polynomials in X_1..X_m with coefficients in Z[q^±1, t^±1].
 
 The ring carries the index convention X_{i+km} = q^{-k} X_i, so any
 out-of-range variable index folds back into 1..m with a power of q
@@ -16,7 +16,7 @@ class XError(ValueError):
 
 
 class XPoly:
-    """Sparse Laurent polynomial in m variables over Q(q,t).
+    """Sparse Laurent polynomial in m variables over Z[q^±1, t^±1].
 
     terms maps a length-m integer exponent tuple to a nonzero QTCoeff.
     """
@@ -263,12 +263,7 @@ def _distinct_perms(p):
 
 def assert_integral(f):
     """True iff every coefficient lies in Z[q^{-1}, t^{+-1}]."""
-    for c in f.terms.values():
-        if c.den.terms != {(0, 0): 1}:
-            return False
-        if any(qe > 0 for qe, _ in c.num.terms):
-            return False
-    return True
+    return all(qe <= 0 for c in f.terms.values() for qe, _ in c.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +285,6 @@ def _render_xterm(e, c):
         return body
     if cs == "-1":
         return "-" + body
-    if len(c.num.terms) > 1 and c.den.terms == {(0, 0): 1}:
-        cs = "(%s)" % cs if not cs.startswith("(") else cs
     return "%s*%s" % (cs, body)
 
 

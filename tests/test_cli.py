@@ -59,6 +59,13 @@ def test_compute_requires_exactly_one_encoding(capsys):
     assert code == 2
 
 
+def test_compute_q1_and_qinf_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--eseq", "0,0,1", "--m", "3", "--q1", "--qinf"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 def test_compute_rejects_bad_sequence(capsys):
     code, _, err = run(capsys, "compute", "--eseq", "0,2", "--m", "2")
     assert code == 2 and "eseq invalid" in err
@@ -93,6 +100,13 @@ def test_star_cli(capsys):
                        "--m", "4")
     assert code == 0
     assert "e[2]" in out and "e[1,1]" in out
+
+
+def test_star_cli_rejects_too_few_variables(capsys):
+    for m in ("0", "-2"):
+        code, out, err = run(capsys, "star", "--f", "e[1]", "--g", "e[1]",
+                             "--m", m)
+        assert code == 2 and err.startswith("error:") and not out
 
 
 def test_star_cli_rejects_inhomogeneous_g(capsys):

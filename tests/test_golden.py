@@ -1,0 +1,69 @@
+"""Golden corpus: the exact e-expansions of every Catalan graph with n <= 6.
+
+tests/data/golden_e.json stores, one graph per line, the exact
+``expand_in_e(qt_csf(e, max(n, 2))).to_json()``; the test recomputes each
+and compares the serializations, so any change to a coefficient, to the
+canonical form or to the JSON layout shows.
+
+    python tests/test_golden.py
+
+regenerates the file, after checking every expansion at q = 1 against the
+coloring oracle and, for n <= 5, against the second operator factorization.
+"""
+
+import json
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+if __name__ == "__main__":
+    sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
+
+from qtchroma.graphs import enumerate_eseqs
+from qtchroma.qtcsf import qt_csf, qt_csf_via_s, check_q1_collapse
+from qtchroma.symfn import expand_in_e
+
+PATH = os.path.join(HERE, "data", "golden_e.json")
+MAX_N = 6
+VIA_S_MAX_N = 5
+
+
+def expansion(eseq):
+    return expand_in_e(qt_csf(eseq, max(len(eseq), 2)))
+
+
+def load():
+    with open(PATH) as fh:
+        return json.load(fh)
+
+
+def test_golden_e_expansions():
+    rows = load()
+    want = [list(e) for n in range(1, MAX_N + 1) for e in enumerate_eseqs(n)]
+    assert [row["eseq"] for row in rows] == want
+    for row in rows:
+        got = expansion(tuple(row["eseq"])).to_json()
+        assert got == row["e"], row["eseq"]
+
+
+def regenerate():
+    rows = []
+    for n in range(1, MAX_N + 1):
+        m = max(n, 2)
+        for e in enumerate_eseqs(n):
+            exp = expansion(e)
+            if not check_q1_collapse(e, m):
+                raise SystemExit("q = 1 collapse fails for %s" % (e,))
+            if n <= VIA_S_MAX_N and expand_in_e(qt_csf_via_s(e, m)) != exp:
+                raise SystemExit("the two factorizations differ for %s" % (e,))
+            rows.append({"eseq": list(e), "e": exp.to_json()})
+    os.makedirs(os.path.dirname(PATH), exist_ok=True)
+    with open(PATH, "w") as fh:
+        fh.write("[\n")
+        fh.write(",\n".join(json.dumps(row, separators=(",", ":")) for row in rows))
+        fh.write("\n]\n")
+    print("wrote %d graphs to %s" % (len(rows), PATH))
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qtchroma.qt import ONE, QTCoeff, from_int, qt_monomial, t_int, t_factorial
+from qtchroma.qt import ONE, from_int, qt_monomial, t_int, t_factorial
 from qtchroma.xring import XPoly, is_symmetric
 from qtchroma.symfn import partitions_of, e_poly, e_range, expand_in_e, EExpansion
 from qtchroma.graphs import enumerate_eseqs, concat
@@ -41,20 +41,21 @@ def _random_monomial(rng):
 
 
 def _random_coeff(rng):
-    """A sum of a few pieces: monomials with negative q-powers, 1/(t-1),
-    and pieces that cancel each other."""
-    inv = QTCoeff(from_int(1)) / (T - 1)
+    """A sum of a few pieces: monomials with negative q-powers, multiples
+    of the non-monomial u = 1 - t + q^-1 t^2, and pieces that cancel each
+    other or divide exactly."""
+    u = ONE - T + qt_monomial(1, -1, 2)
     total = from_int(0)
     for _ in range(rng.randint(1, 3)):
         kind = rng.randrange(4)
         if kind == 0:
             piece = _random_monomial(rng)
         elif kind == 1:
-            piece = inv * qt_monomial(rng.choice((-1, 1)), rng.randint(-2, 0), 0)
+            piece = u * qt_monomial(rng.choice((-1, 1)), rng.randint(-2, 0), 0)
         elif kind == 2:
-            piece = qt_monomial(1, -1, 1) * inv - inv * qt_monomial(1, -1, 1)
+            piece = qt_monomial(1, -1, 1) * u - u * qt_monomial(1, -1, 1)
         else:
-            piece = T * inv - inv   # (t - 1)/(t - 1) = 1
+            piece = (T * u - u) / (T - 1)   # exactly u
         total = total + piece
     return total
 

@@ -84,12 +84,15 @@ def hatS_reference(a, f):
 
 
 def rand_coeff(rng):
-    # monomials, sums, and fractions whose denominator can cancel t - 1
+    # monomials, sums, and binomials whose product with a t - 1 factor
+    # merges or cancels terms
     return rng.choice([
         qt_monomial(rng.choice([-2, -1, 1, 3]), rng.randint(-1, 1),
                     rng.randint(-1, 2)),
         t_int(rng.randint(2, 3)) + QINV,
-        from_int(rng.choice([-1, 1])) / (T - 1),
+        rng.choice([T - 1, ONE + T]) * qt_monomial(rng.choice([-1, 1]),
+                                                  rng.randint(-1, 0),
+                                                  rng.randint(-1, 1)),
     ])
 
 

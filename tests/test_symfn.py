@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qtchroma.qt import ONE, QTCoeff, from_int, qt_monomial
+from qtchroma.qt import ONE, from_int, qt_monomial
 from qtchroma.xring import XPoly, is_symmetric
 from qtchroma.symfn import (SymFnError, partitions_of, conjugate, e_range,
                             e_poly, EExpansion, expand_in_e, apply_N, e_stat,
@@ -155,10 +155,11 @@ def test_expand_in_e_errors():
 
 
 def _random_coeff(rng):
-    """A sum of a few pieces: monomials with negative q-powers, 1/(t-1),
-    and pieces that cancel each other."""
+    """A sum of a few pieces: monomials with negative q-powers, multiples
+    of the non-monomial u = 1 - t + q^-1 t^2, and pieces that cancel each
+    other or divide exactly."""
     t = qt_monomial(1, 0, 1)
-    inv = QTCoeff(from_int(1)) / (t - 1)
+    u = ONE - t + qt_monomial(1, -1, 2)
     total = from_int(0)
     for _ in range(rng.randint(1, 3)):
         kind = rng.randrange(4)
@@ -166,11 +167,11 @@ def _random_coeff(rng):
             piece = qt_monomial(rng.choice((-2, -1, 1, 3)), rng.randint(-3, 1),
                                 rng.randint(-1, 2))
         elif kind == 1:
-            piece = inv * qt_monomial(rng.choice((-1, 1)), rng.randint(-2, 0), 0)
+            piece = u * qt_monomial(rng.choice((-1, 1)), rng.randint(-2, 0), 0)
         elif kind == 2:
-            piece = qt_monomial(1, -1, 1) * inv - inv * qt_monomial(1, -1, 1)
+            piece = qt_monomial(1, -1, 1) * u - u * qt_monomial(1, -1, 1)
         else:
-            piece = t * inv - inv   # (t - 1)/(t - 1) = 1
+            piece = (t * u - u) / (t - 1)   # exactly u
         total = total + piece
     return total
 

@@ -121,9 +121,9 @@ def test_assert_integral():
     assert assert_integral(XPoly(2, {(1, 0): t + 1, (0, 1): qt_monomial(1, -2, -1)}))
     # positive powers of q are not allowed
     assert not assert_integral(XPoly(2, {(1, 0): qt_monomial(1, 1, 0)}))
-    # genuine denominators are not allowed
-    c = ONE / (ONE + t)
-    assert not assert_integral(XPoly(2, {(1, 0): c}))
+    # nor in any one term of a sum
+    c = ONE + qt_monomial(1, 1, -1)
+    assert not assert_integral(XPoly(2, {(1, 0): t, (0, 1): c}))
 
 
 def test_render():
