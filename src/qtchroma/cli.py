@@ -14,13 +14,17 @@ import sys
 from .qt import QTError, specialize_q1, limit_q_infinity
 from .xring import XPoly, XError, render_xpoly
 from .hecke import HeckeError
-from .symfn import SymFnError, e_poly, expand_in_e, _render_terms
+from .symfn import SymFnError, e_poly, expand_in_e, _render_terms, _check_faithful
 from .graphs import (GraphError, check_eseq, aseq_to_eseq, hseq_to_eseq,
                      eseq_to_aseq, eseq_to_hseq, graph_from_eseq, chromatic_qsf,
                      enumerate_eseqs)
 from .qtcsf import qt_csf
 from .qmapstar import QMapError, star, qt_elementary
 from .suites import SUITES
+
+
+class _UsageError(ValueError):
+    """A command-line value outside the range its command accepts."""
 
 
 def render_eexp(exp):
@@ -99,6 +103,10 @@ def _emit_poly(f, args):
 
 def cmd_compute(args):
     eseq = _parse_seq(args)
+    if args.basis == "e":
+        # the result has degree len(eseq); with fewer variables its
+        # e-expansion is not faithful even when the polynomial is zero
+        _check_faithful(len(eseq), args.m)
     f = _specialize(qt_csf(eseq, args.m), args)
     _emit_poly(f, args)
     return 0
@@ -107,6 +115,7 @@ def cmd_compute(args):
 def cmd_expand(args):
     eseq = _parse_seq(args)
     m = args.m if args.m else len(eseq)
+    _check_faithful(len(eseq), m)
     exp = expand_in_e(chromatic_qsf(graph_from_eseq(eseq), m))
     if args.format == "json":
         print(json.dumps(exp.to_json()))
@@ -138,29 +147,36 @@ def cmd_qt_elem(args):
     return 0
 
 
+# Per suite: keyword -> (flag, default, smallest value that runs a case).
+# A default of None lets the suite pick the value from the other sizes.
+_VERIFY_SIZES = {
+    "relations": {"m_max": ("m", 5, 2), "count": ("count", 50, 1)},
+    "modular": {"n": ("n", 4, 3), "m": ("m", 5, 2)},
+    "stability": {"n": ("n", 4, 1), "m": ("m", 6, 3)},
+    "symmetry": {"n": ("n", 5, 1), "m": ("m", 6, 2)},
+    "integrality": {"n": ("n", 5, 1), "m": ("m", 6, 2)},
+    "q1": {"n": ("n", 5, 1), "m": ("m", 6, 2)},
+    "qinf": {"n": ("n", 5, 1), "m": ("m", None, 2)},
+    "dist": {"n": ("n", 5, 1)},
+    "pieri": {"r": ("r", 5, 0)},
+    "mult": {"n": ("n", 4, 2), "m": ("m", None, 4)},
+    "qmap": {"r": ("r", 5, 1), "m": ("m", 10, 2)},
+}
+
+
 def cmd_verify(args):
     fn = SUITES[args.suite]
     kwargs = {}
+    for key, (flag, default, least) in _VERIFY_SIZES[args.suite].items():
+        value = getattr(args, flag)
+        if value is None:
+            value = default
+        elif value < least:
+            raise _UsageError("verify %s needs --%s >= %d, got %d"
+                              % (args.suite, flag, least, value))
+        kwargs[key] = value
     if args.suite == "relations":
-        kwargs.update(m_max=args.m or 5, deg_max=4, count=args.count, seed=args.seed)
-    elif args.suite == "modular":
-        kwargs.update(n=args.n or 4, m=args.m or 5)
-    elif args.suite == "stability":
-        kwargs.update(n=args.n or 4, m=args.m or 6)
-    elif args.suite in ("symmetry", "integrality"):
-        kwargs.update(n=args.n or 5, m=args.m or 6)
-    elif args.suite == "q1":
-        kwargs.update(n=args.n or 5, m=args.m or 6)
-    elif args.suite == "qinf":
-        kwargs.update(n=args.n or 5, m=args.m or None)
-    elif args.suite == "dist":
-        kwargs.update(n=args.n or 5)
-    elif args.suite == "pieri":
-        kwargs.update(r=args.r or 5)
-    elif args.suite == "mult":
-        kwargs.update(n=args.n or 4, m=args.m or None)
-    elif args.suite == "qmap":
-        kwargs.update(r=args.r or 5, m=args.m or 10)
+        kwargs.update(deg_max=4, seed=args.seed)
     report = fn(**kwargs)
     if args.format == "json":
         print(json.dumps(report.to_json()))
@@ -233,10 +249,10 @@ def build_parser():
 
     sp = sub.add_parser("verify", help="run an identity suite")
     sp.add_argument("suite", choices=sorted(SUITES))
-    sp.add_argument("--n", type=int, default=0)
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--r", type=int, default=0)
-    sp.add_argument("--count", type=int, default=50)
+    sp.add_argument("--n", type=int)
+    sp.add_argument("--m", type=int)
+    sp.add_argument("--r", type=int)
+    sp.add_argument("--count", type=int)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("list-graphs", help="enumerate graph encodings")
@@ -251,7 +267,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, XError, HeckeError, SymFnError, QMapError, QTError) as exc:
+    except (GraphError, XError, HeckeError, SymFnError, QMapError, QTError,
+            _UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

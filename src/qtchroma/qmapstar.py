@@ -3,24 +3,31 @@ quantum product.
 
 A Y-polynomial is an XPoly whose variables are read as the commuting
 operators Y_1..Y_m; the transport map evaluates the operator on 1.
-Its inverse is computed only on the symmetric subspace, by back
-substitution in e-basis coordinates: the e-coordinates of e_lam(Y) . 1
-hold only e_mu with mu >= lam (lex) and a monomial e_lam coefficient,
-and each such column is built lazily, the first time the solve reaches
-lam with a nonzero coefficient.  Symmetric polynomials in the Y
-operators commute, so the quantum product of f and g is the ordinary
-product of their transported e-coordinates, mapped back through the
-images e_nu(Y) . 1.
+The chromatic functions are multiplicative under the quantum product,
+so the transported elementary e_lam(Y) . 1 is the function of the
+disjoint union of complete graphs K_lam divided by prod_i [lam_i]_t!;
+it is built that way, by the hat-symmetrizer pipeline, and the Y-operator
+chain (apply_e_r_Y, q_map) stays as a test oracle.  The inverse is
+computed only on the symmetric subspace, by back substitution in e-basis
+coordinates: the e-coordinates of e_lam(Y) . 1 hold only e_mu with
+mu >= lam (lex) and a monomial e_lam coefficient, and each such column
+is built lazily, the first time the solve reaches lam with a nonzero
+coefficient.  Symmetric polynomials in the Y operators commute, so the
+quantum product of f and g is the ordinary product of their transported
+e-coordinates, summed in e-coordinates over the columns e_nu(Y) . 1 and
+mapped to a polynomial once.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .qt import from_int, qt_monomial, t_int
+from .qt import ONE, from_int, qt_monomial, t_int, t_factorial
 from .xring import XPoly, XError
 from .hecke import apply_Y, apply_T, apply_pi
 from .symfn import EExpansion, SymFnError, partitions_of, e_range, expand_in_e
+from .graphs import eseq_of_partition
+from .qtcsf import _hat_product
 
 
 class QMapError(ValueError):
@@ -56,17 +63,35 @@ def q_map(f):
 
 @lru_cache(maxsize=128)
 def _e_image(m, lam):
-    """e_lam(Y) . 1 for a partition lam, built from the image of its tail."""
+    """e_lam(Y) . 1 for a partition lam: the hat-symmetrizer product of
+    K_lam divided exactly by prod_i [lam_i]_t!.
+
+    Orbit members share one coefficient object, so each distinct object
+    is divided once.
+    """
     if not lam:
         return XPoly.one(m)
-    return apply_e_r_Y(lam[0], _e_image(m, lam[1:]))
+    scale = ONE
+    for p in lam:
+        scale = scale * t_factorial(p)
+    quotients = {}
+    out = {}
+    for e, c in _hat_product(eseq_of_partition(lam), m).terms.items():
+        x = quotients.get(id(c))
+        if x is None:
+            x = quotients[id(c)] = c / scale
+        out[e] = x
+    return XPoly._raw(m, out)
 
 
 def q_map_e(lam, m):
     """The image e_lam(Y) . 1 of the elementary product along a partition.
 
-    Applies e_{lam_1}(Y) to the image of (lam_2, lam_3, ...), so every
-    suffix image is computed once and kept in a bounded cache.
+    Computed as qt_csf of the disjoint union of complete graphs K_lam
+    (through its hat-symmetrizer pipeline, valid for every m >= 1)
+    divided exactly by prod_i [lam_i]_t!, and kept in a bounded cache.
+    The Y-operator chain apply_e_r_Y(lam_1, ...) gives the same image
+    and serves as its test oracle.
     """
     lam = tuple(lam)
     if any(p < 1 for p in lam) or any(a < b for a, b in zip(lam, lam[1:])):
@@ -159,7 +184,9 @@ def star(f, g):
     """The quantum product of two symmetric homogeneous polynomials.
 
     With f = sum c_lam e_lam(Y) . 1 and g = sum d_mu e_mu(Y) . 1, the
-    product is sum c_lam d_mu e_{lam u mu}(Y) . 1.
+    product is sum c_lam d_mu e_{lam u mu}(Y) . 1.  The sum is taken in
+    e-coordinates, over the cached columns of the images, and mapped to
+    a polynomial once.
     """
     if f.m != g.m:
         raise XError("variable counts differ: %d vs %d" % (f.m, g.m))
@@ -179,10 +206,13 @@ def star(f, g):
             coords[nu] = c * d if s is None else s + c * d
     out = {}
     for nu, c in coords.items():
-        for e, k in q_map_e(nu, m).terms.items():
-            s = out.get(e)
-            out[e] = k * c if s is None else s + k * c
-    return XPoly._raw(m, {e: c for e, c in out.items() if not c.is_zero()})
+        if not c:
+            continue
+        diag, others = _column(m, nu)
+        for mu, k in ((nu, diag),) + others:
+            s = out.get(mu)
+            out[mu] = k * c if s is None else s + k * c
+    return EExpansion(df + dg, out).to_xpoly(m)
 
 
 def qt_elementary(lam, m):

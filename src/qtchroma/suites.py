@@ -252,16 +252,22 @@ def suite_mult(n=4, m=None):
 
 
 def suite_qmap(r=5, m=10):
-    """Transported elementaries against the closed form, plus round trips."""
+    """Transported elementaries against the closed form, plus round trips.
+
+    Each e_r case checks both routes to e_r(Y) . 1: q_map_e, and the
+    operator e_r(Y) applied to 1.
+    """
     checks = []
     for mm in range(2, m + 1):
         for rr in range(1, min(r, mm) + 1):
             case = "e_%d m=%d" % (rr, mm)
 
             def thunk(rr=rr, mm=mm):
-                lhs = q_map_e((rr,), mm)
                 rhs = e_poly((rr,), mm) * qt_monomial(1, 0, rr * (rr - 1) // 2)
-                return None if lhs == rhs else (render_xpoly(rhs), render_xpoly(lhs))
+                for lhs in (q_map_e((rr,), mm), apply_e_r_Y(rr, XPoly.one(mm))):
+                    if lhs != rhs:
+                        return (render_xpoly(rhs), render_xpoly(lhs))
+                return None
             checks.append((case, thunk))
     for nn in range(1, 5):
         for e in enumerate_eseqs(nn):

@@ -218,6 +218,13 @@ def _e_table(n):
     return tuple(table)
 
 
+def _check_faithful(n, m):
+    """Raise unless m >= n, so that a degree-n e-expansion is faithful."""
+    if m < n:
+        raise SymFnError("need at least %d variables for a faithful degree-%d "
+                         "e-expansion, got m=%d" % (n, n, m))
+
+
 def expand_in_e(f):
     """Expand a symmetric homogeneous polynomial in the elementary basis.
 
@@ -237,9 +244,7 @@ def expand_in_e(f):
     if not f.is_polynomial():
         raise SymFnError("polynomial has negative exponents")
     n = f.degree()
-    if f.m < n:
-        raise SymFnError("need at least %d variables for a faithful degree-%d "
-                         "e-expansion, got m=%d" % (n, n, f.m))
+    _check_faithful(n, f.m)
     if not is_symmetric(f):
         raise SymFnError("polynomial is not symmetric")
     m = f.m

@@ -15,7 +15,7 @@ from qtchroma.graphs import (enumerate_eseqs, modular_triples, concat,
 from qtchroma.qtcsf import (qt_csf, check_q1_collapse, check_dist_identity,
                             check_qinf_limit, c_lambda)
 from qtchroma.qmapstar import (q_map_e, q_map_inv_sym, star, qt_elementary,
-                               check_pieri)
+                               check_pieri, apply_e_r_Y)
 from qtchroma.suites import suite_relations
 
 T = qt_monomial(1, 0, 1)
@@ -116,6 +116,7 @@ def test_08_transported_elementaries():
             for r in range(1, min(5, m) + 1):
                 want = e_poly((r,), m) * qt_monomial(1, 0, r * (r - 1) // 2)
                 assert q_map_e((r,), m) == want, (r, m)
+                assert apply_e_r_Y(r, XPoly.one(m)) == want, (r, m)
 
 
 def test_09_coefficient_round_trip():

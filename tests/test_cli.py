@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qtchroma.cli import main, parse_symfn, render_eexp
+from qtchroma.cli import main, parse_symfn, render_eexp, _VERIFY_SIZES
 from qtchroma.qt import qt_monomial, from_int
 from qtchroma.xring import XPoly
 from qtchroma.symfn import EExpansion, e_poly
@@ -205,3 +205,57 @@ def test_render_eexp_order():
     # text form lists partitions in ascending lexicographic order
     assert render_eexp(exp) == "e[2,1] + t*e[3]"
     assert render_eexp(EExpansion(0, {})) == "0"
+
+
+# -- e-basis faithfulness and verify sizes -----------------------------------
+
+def test_e_basis_needs_as_many_variables_as_vertices(capsys):
+    # K_3 in two variables is the zero polynomial, whose e-expansion "0"
+    # would not be faithful
+    msg = "need at least 3 variables for a faithful degree-3 e-expansion, got m=2"
+    for argv in (("expand", "--eseq", "0,0,0", "--m", "2"),
+                 ("compute", "--eseq", "0,0,0", "--m", "2", "--basis", "e"),
+                 ("compute", "--eseq", "0,1,1", "--m", "2", "--basis", "e"),
+                 ("compute", "--eseq", "0,0,0", "--m", "2", "--basis", "e",
+                  "--q1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == "error: " + msg
+    # the monomial basis has no such limit
+    code, out, _ = run(capsys, "compute", "--eseq", "0,0,0", "--m", "2")
+    assert (code, out) == (0, "0")
+
+
+def test_verify_rejects_sizes_that_run_no_case(capsys):
+    for argv, msg in [(("dist", "--n", "-1"), "--n >= 1, got -1"),
+                      (("dist", "--n", "0"), "--n >= 1, got 0"),
+                      (("pieri", "--r", "-2"), "--r >= 0, got -2"),
+                      (("relations", "--count", "-5"), "--count >= 1, got -5"),
+                      (("stability", "--m", "-1"), "--m >= 3, got -1")]:
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == "error: verify %s needs %s" % (argv[0], msg)
+
+
+def test_verify_zero_is_a_size_not_the_default(capsys):
+    code, out, _ = run(capsys, "--format", "json", "verify", "pieri", "--r", "0")
+    assert code == 0
+    assert json.loads(out)["cases"] == 1          # r = 0 only, not r = 0..5
+
+
+@pytest.mark.parametrize("suite", sorted(_VERIFY_SIZES))
+def test_verify_sizes_at_and_below_their_minimum(capsys, suite):
+    sizes = _VERIFY_SIZES[suite].values()
+    argv = ["--format", "json", "verify", suite]
+    for flag, _default, least in sizes:
+        argv += ["--" + flag, str(least)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["cases"] >= 1
+    for flag, _default, least in sizes:
+        code, out, err = run(capsys, "verify", suite, "--" + flag, str(least - 1))
+        assert code == 2, flag
+        assert out == ""
+        assert err.startswith("error: verify %s needs --%s" % (suite, flag))

@@ -100,6 +100,30 @@ def test_q_map_e_matches_q_map_of_e_poly():
                 assert q_map_e(lam, m).to_json() == want.to_json(), (lam, m)
 
 
+def _e_image_by_y_operators(m, lam, memo):
+    """e_lam(Y) . 1 by the Y-operator chain: e_{lam_1}(Y) applied to the
+    image of (lam_2, lam_3, ...), each suffix image computed once."""
+    if not lam:
+        return XPoly.one(m)
+    img = memo.get(lam)
+    if img is None:
+        img = memo[lam] = apply_e_r_Y(lam[0],
+                                      _e_image_by_y_operators(m, lam[1:], memo))
+    return img
+
+
+def test_q_map_e_matches_y_operator_chain():
+    # the symmetrizer route of q_map_e against the Y-operator chain, on
+    # every (lam, m) a test, suite or benchmark workload uses
+    cases = [(m, d) for m in range(1, 11) for d in range(5)] + [(10, 5)]
+    memos = {}
+    for m, d in cases:
+        memo = memos.setdefault(m, {})
+        for lam in partitions_of(d):
+            want = _e_image_by_y_operators(m, lam, memo).to_json()
+            assert q_map_e(lam, m).to_json() == want, (lam, m)
+
+
 def test_q_map_e_rejects_non_partitions():
     for lam in [(1, 2), (2, 0), (0,), (-1,)]:
         with pytest.raises(QMapError):

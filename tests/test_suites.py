@@ -56,3 +56,14 @@ def test_stability_suite_small():
 def test_qmap_suite_small():
     rep = suite_qmap(r=2, m=4)
     assert rep.ok
+
+
+def test_qmap_suite_checks_the_y_operator_chain(monkeypatch):
+    # each e_r case must reach e_r(Y) . 1 through the Y operators as well as
+    # through q_map_e, so a broken operator route fails every e_r case
+    from qtchroma import suites
+    from qtchroma.xring import XPoly
+    monkeypatch.setattr(suites, "apply_e_r_Y", lambda r, g: XPoly.zero(g.m))
+    rep = suite_qmap(r=2, m=4)
+    assert [case for case, _e, _a in rep.failures] == [
+        "e_1 m=2", "e_2 m=2", "e_1 m=3", "e_2 m=3", "e_1 m=4", "e_2 m=4"]
