@@ -114,7 +114,7 @@ def cmd_compute(args):
 
 def cmd_expand(args):
     eseq = _parse_seq(args)
-    m = args.m if args.m else len(eseq)
+    m = len(eseq) if args.m is None else args.m
     _check_faithful(len(eseq), m)
     exp = expand_in_e(chromatic_qsf(graph_from_eseq(eseq), m))
     if args.format == "json":
@@ -147,31 +147,37 @@ def cmd_qt_elem(args):
     return 0
 
 
-# Per suite: keyword -> (flag, default, smallest value that runs a case).
-# A default of None lets the suite pick the value from the other sizes.
+# The size flags of verify, and per suite: keyword -> (flag, smallest value
+# that runs a case).  A flag left out leaves the suite's own default.
+_VERIFY_FLAGS = ("n", "m", "r", "count")
 _VERIFY_SIZES = {
-    "relations": {"m_max": ("m", 5, 2), "count": ("count", 50, 1)},
-    "modular": {"n": ("n", 4, 3), "m": ("m", 5, 2)},
-    "stability": {"n": ("n", 4, 1), "m": ("m", 6, 3)},
-    "symmetry": {"n": ("n", 5, 1), "m": ("m", 6, 2)},
-    "integrality": {"n": ("n", 5, 1), "m": ("m", 6, 2)},
-    "q1": {"n": ("n", 5, 1), "m": ("m", 6, 2)},
-    "qinf": {"n": ("n", 5, 1), "m": ("m", None, 2)},
-    "dist": {"n": ("n", 5, 1)},
-    "pieri": {"r": ("r", 5, 0)},
-    "mult": {"n": ("n", 4, 2), "m": ("m", None, 4)},
-    "qmap": {"r": ("r", 5, 1), "m": ("m", 10, 2)},
+    "relations": {"m_max": ("m", 2), "count": ("count", 1)},
+    "modular": {"n": ("n", 3), "m": ("m", 2)},
+    "stability": {"n": ("n", 1), "m": ("m", 3)},
+    "symmetry": {"n": ("n", 1), "m": ("m", 2)},
+    "integrality": {"n": ("n", 1), "m": ("m", 2)},
+    "q1": {"n": ("n", 1), "m": ("m", 2)},
+    "qinf": {"n": ("n", 1), "m": ("m", 2)},
+    "dist": {"n": ("n", 1)},
+    "pieri": {"r": ("r", 0)},
+    "mult": {"n": ("n", 2), "m": ("m", 4)},
+    "qmap": {"r": ("r", 1), "m": ("m", 2)},
 }
 
 
 def cmd_verify(args):
     fn = SUITES[args.suite]
+    sizes = _VERIFY_SIZES[args.suite]
+    taken = [flag for flag, _least in sizes.values()]
+    for flag in _VERIFY_FLAGS:
+        if flag not in taken and getattr(args, flag) is not None:
+            raise _UsageError("verify %s takes no --%s" % (args.suite, flag))
     kwargs = {}
-    for key, (flag, default, least) in _VERIFY_SIZES[args.suite].items():
+    for key, (flag, least) in sizes.items():
         value = getattr(args, flag)
         if value is None:
-            value = default
-        elif value < least:
+            continue
+        if value < least:
             raise _UsageError("verify %s needs --%s >= %d, got %d"
                               % (args.suite, flag, least, value))
         kwargs[key] = value
@@ -231,7 +237,7 @@ def build_parser():
 
     sp = sub.add_parser("expand", help="e-expansion of the coloring sum")
     add_seq_flags(sp)
-    sp.add_argument("--m", type=int, default=0)
+    sp.add_argument("--m", type=int)
     sp.set_defaults(func=cmd_expand)
 
     sp = sub.add_parser("star", help="quantum product of two literals")
@@ -249,10 +255,8 @@ def build_parser():
 
     sp = sub.add_parser("verify", help="run an identity suite")
     sp.add_argument("suite", choices=sorted(SUITES))
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--r", type=int)
-    sp.add_argument("--count", type=int)
+    for flag in _VERIFY_FLAGS:
+        sp.add_argument("--" + flag, type=int)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("list-graphs", help="enumerate graph encodings")

@@ -5,17 +5,19 @@ A Y-polynomial is an XPoly whose variables are read as the commuting
 operators Y_1..Y_m; the transport map evaluates the operator on 1.
 The chromatic functions are multiplicative under the quantum product,
 so the transported elementary e_lam(Y) . 1 is the function of the
-disjoint union of complete graphs K_lam divided by prod_i [lam_i]_t!;
-it is built that way, by the hat-symmetrizer pipeline, and the Y-operator
-chain (apply_e_r_Y, q_map) stays as a test oracle.  The inverse is
-computed only on the symmetric subspace, by back substitution in e-basis
-coordinates: the e-coordinates of e_lam(Y) . 1 hold only e_mu with
-mu >= lam (lex) and a monomial e_lam coefficient, and each such column
-is built lazily, the first time the solve reaches lam with a nonzero
-coefficient.  Symmetric polynomials in the Y operators commute, so the
-quantum product of f and g is the ordinary product of their transported
-e-coordinates, summed in e-coordinates over the columns e_nu(Y) . 1 and
-mapped to a polynomial once.
+disjoint union of complete graphs K_lam divided by prod_i [lam_i]_t!.
+That is a symmetric function, so its e-coordinates do not depend on m:
+they are built once per partition, by the hat-symmetrizer pipeline at
+m = |lam|, and kept as one column per lam; the Y-operator chain
+(apply_e_r_Y, q_map) stays as a test oracle.  The inverse is computed
+only on the symmetric subspace, by back substitution in e-basis
+coordinates: the column of lam holds only e_mu with mu >= lam (lex) and
+a monomial e_lam coefficient, and each column is built lazily, the
+first time the solve reaches lam with a nonzero coefficient.  Symmetric
+polynomials in the Y operators commute, so the quantum product of f and
+g is the ordinary product of their transported e-coordinates, summed in
+e-coordinates over the columns of e_nu(Y) . 1 and mapped to a
+polynomial once.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .xring import XPoly, XError
 from .hecke import apply_Y, apply_T, apply_pi
 from .symfn import EExpansion, SymFnError, partitions_of, e_range, expand_in_e
 from .graphs import eseq_of_partition
-from .qtcsf import _hat_product
+from .qtcsf import qt_csf
 
 
 class QMapError(ValueError):
@@ -61,60 +63,49 @@ def q_map(f):
     return out
 
 
-@lru_cache(maxsize=128)
-def _e_image(m, lam):
-    """e_lam(Y) . 1 for a partition lam: the hat-symmetrizer product of
-    K_lam divided exactly by prod_i [lam_i]_t!.
-
-    Orbit members share one coefficient object, so each distinct object
-    is divided once.
-    """
+def _e_image(lam):
+    """The e-coordinates of e_lam(Y) . 1, uncached: those of qt_csf of
+    K_lam at m = max(|lam|, 2), each divided exactly by prod_i [lam_i]_t!
+    (exact, since expand_in_e is unitriangular over Z)."""
     if not lam:
-        return XPoly.one(m)
+        return {(): ONE}
     scale = ONE
     for p in lam:
         scale = scale * t_factorial(p)
-    quotients = {}
-    out = {}
-    for e, c in _hat_product(eseq_of_partition(lam), m).terms.items():
-        x = quotients.get(id(c))
-        if x is None:
-            x = quotients[id(c)] = c / scale
-        out[e] = x
-    return XPoly._raw(m, out)
-
-
-def q_map_e(lam, m):
-    """The image e_lam(Y) . 1 of the elementary product along a partition.
-
-    Computed as qt_csf of the disjoint union of complete graphs K_lam
-    (through its hat-symmetrizer pipeline, valid for every m >= 1)
-    divided exactly by prod_i [lam_i]_t!, and kept in a bounded cache.
-    The Y-operator chain apply_e_r_Y(lam_1, ...) gives the same image
-    and serves as its test oracle.
-    """
-    lam = tuple(lam)
-    if any(p < 1 for p in lam) or any(a < b for a, b in zip(lam, lam[1:])):
-        raise QMapError("need a weakly decreasing positive partition, got %r"
-                        % (lam,))
-    return _e_image(m, lam)
+    coeffs = expand_in_e(qt_csf(eseq_of_partition(lam), max(sum(lam), 2))).coeffs
+    return {mu: c / scale for mu, c in coeffs.items()}
 
 
 @lru_cache(maxsize=128)
-def _column(m, lam):
-    """The e-coordinates of e_lam(Y) . 1 as (diagonal, other items).
+def _column(lam):
+    """The e-coordinates of e_lam(Y) . 1 as (diagonal, other items), one
+    column per partition for every m.
 
     Checked once when built: only e_mu with mu >= lam (lex) may occur,
     and the e_lam coefficient must be a monomial, so back substitution
     divides only by monomials.  The items are a tuple so callers cannot
     mutate the cached column.
     """
-    coeffs = expand_in_e(q_map_e(lam, m)).coeffs
+    coeffs = _e_image(lam)
     diag = coeffs.get(lam)
     if diag is None or len(diag.terms) != 1 or any(mu < lam for mu in coeffs):
-        raise QMapError("transported e_%s at m=%d is not triangular"
-                        % (lam, m))
+        raise QMapError("transported e_%s is not triangular" % (lam,))
     return diag, tuple((mu, c) for mu, c in coeffs.items() if mu != lam)
+
+
+def q_map_e(lam, m):
+    """The image e_lam(Y) . 1 of the elementary product along a partition.
+
+    The column of lam, built once at m = |lam|, mapped to m variables by
+    EExpansion.to_xpoly.  The Y-operator chain apply_e_r_Y(lam_1, ...)
+    gives the same image and serves as its test oracle.
+    """
+    lam = tuple(lam)
+    if any(p < 1 for p in lam) or any(a < b for a, b in zip(lam, lam[1:])):
+        raise QMapError("need a weakly decreasing positive partition, got %r"
+                        % (lam,))
+    diag, others = _column(lam)
+    return EExpansion(sum(lam), dict(((lam, diag),) + others)).to_xpoly(m)
 
 
 def q_map_inv_sym(f):
@@ -146,7 +137,7 @@ def q_map_inv_sym(f):
         c = rest.pop(lam, None)
         if c is None or c.is_zero():
             continue
-        diag, others = _column(f.m, lam)
+        diag, others = _column(lam)
         x = c / diag
         sol[lam] = x
         for mu, k in others:
@@ -208,7 +199,7 @@ def star(f, g):
     for nu, c in coords.items():
         if not c:
             continue
-        diag, others = _column(m, nu)
+        diag, others = _column(nu)
         for mu, k in ((nu, diag),) + others:
             s = out.get(mu)
             out[mu] = k * c if s is None else s + k * c

@@ -289,3 +289,28 @@ def render_coeff(c):
     s = "+".join(_render_term(v, qe, te)
                  for (qe, te), v in sorted(c.terms.items())).replace("+-", "-")
     return s if len(c.terms) == 1 else "(%s)" % s
+
+
+def _render_sum(pairs):
+    """Text form of a sum of (coefficient, basis element) pairs, in the
+    order given: a coefficient 1 or -1 before a basis element is elided
+    to its sign, an empty basis element leaves the bare coefficient, and
+    a term with a leading minus joins with " - "."""
+    out = []
+    for c, body in pairs:
+        cs = render_coeff(c)
+        if not body:
+            term = cs
+        elif cs == "1":
+            term = body
+        elif cs == "-1":
+            term = "-" + body
+        else:
+            term = "%s*%s" % (cs, body)
+        if not out:
+            out.append(term)
+        elif term.startswith("-"):
+            out.append(" - " + term[1:])
+        else:
+            out.append(" + " + term)
+    return "".join(out) or "0"

@@ -107,11 +107,6 @@ def qt_csf(eseq, m):
     eseq = check_eseq(eseq)
     if m < 2:
         raise XError("need m >= 2 variables")
-    return _hat_product(eseq, m)
-
-
-def _hat_product(eseq, m):
-    """The body of qt_csf for a checked eseq, also correct at m = 1."""
     n = len(eseq)
     a = eseq_to_aseq(eseq)
     f = XPoly(m, {(0,) * m: qt_monomial(1, 0, n * (m - 1))})

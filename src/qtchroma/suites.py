@@ -102,51 +102,36 @@ def suite_relations(m_max=5, deg_max=4, count=50, seed=0):
                 j = rng.randrange(m)
                 tag = "m=%d deg=%d trial=%d" % (m, deg, trial)
 
-                def quad(f=f, i=i):
-                    lhs = apply_T(i, apply_T(i, f))
-                    rhs = apply_T(i, f) * (t - 1) + f * t
-                    return None if lhs == rhs else (render_xpoly(rhs), render_xpoly(lhs))
-                checks.append(("quadratic " + tag, quad))
-
-                def rot(f=f, i=i):
-                    lhs = apply_pi(apply_T(i, f))
-                    rhs = apply_T((i + 1) % m, apply_pi(f))
-                    return None if lhs == rhs else (render_xpoly(rhs), render_xpoly(lhs))
-                checks.append(("rotation " + tag, rot))
+                checks.append(("quadratic " + tag, _eq_check(
+                    lambda f=f, i=i: apply_T(i, apply_T(i, f)),
+                    lambda f=f, i=i: apply_T(i, f) * (t - 1) + f * t)))
+                checks.append(("rotation " + tag, _eq_check(
+                    lambda f=f, i=i: apply_pi(apply_T(i, f)),
+                    lambda f=f, i=i: apply_T((i + 1) % m, apply_pi(f)))))
 
                 if m > 2:
-                    def braid(f=f, i=i):
-                        jj = (i + 1) % m
-                        lhs = apply_T(i, apply_T(jj, apply_T(i, f)))
-                        rhs = apply_T(jj, apply_T(i, apply_T(jj, f)))
-                        return None if lhs == rhs else (render_xpoly(rhs), render_xpoly(lhs))
-                    checks.append(("braid " + tag, braid))
+                    jj = (i + 1) % m
+                    checks.append(("braid " + tag, _eq_check(
+                        lambda f=f, i=i, jj=jj: apply_T(i, apply_T(jj, apply_T(i, f))),
+                        lambda f=f, i=i, jj=jj: apply_T(jj, apply_T(i, apply_T(jj, f))))))
 
                 if m > 3 and j not in (i, (i + 1) % m, (i - 1) % m):
-                    def comm(f=f, i=i, j=j):
-                        lhs = apply_T(i, apply_T(j, f))
-                        rhs = apply_T(j, apply_T(i, f))
-                        return None if lhs == rhs else (render_xpoly(rhs), render_xpoly(lhs))
-                    checks.append(("commutation " + tag, comm))
+                    checks.append(("commutation " + tag, _eq_check(
+                        lambda f=f, i=i, j=j: apply_T(i, apply_T(j, f)),
+                        lambda f=f, i=i, j=j: apply_T(j, apply_T(i, f)))))
 
                 yi = rng.randint(1, m)
                 yj = rng.randint(1, m)
-
-                def ycomm(f=f, yi=yi, yj=yj):
-                    lhs = apply_Y(yi, apply_Y(yj, f))
-                    rhs = apply_Y(yj, apply_Y(yi, f))
-                    return None if lhs == rhs else (render_xpoly(rhs), render_xpoly(lhs))
-                checks.append(("Y-commutativity " + tag, ycomm))
+                checks.append(("Y-commutativity " + tag, _eq_check(
+                    lambda f=f, yi=yi, yj=yj: apply_Y(yi, apply_Y(yj, f)),
+                    lambda f=f, yi=yi, yj=yj: apply_Y(yj, apply_Y(yi, f)))))
 
                 if trial < 5:
                     ti = rng.randrange(1, m)
-
-                    def central(f=f, ti=ti):
-                        # e_2(Y) is central, so it commutes with T_i.
-                        lhs = apply_e_r_Y(2, apply_T(ti, f))
-                        rhs = apply_T(ti, apply_e_r_Y(2, f))
-                        return None if lhs == rhs else (render_xpoly(rhs), render_xpoly(lhs))
-                    checks.append(("centrality " + tag, central))
+                    # e_2(Y) is central, so it commutes with T_i.
+                    checks.append(("centrality " + tag, _eq_check(
+                        lambda f=f, ti=ti: apply_e_r_Y(2, apply_T(ti, f)),
+                        lambda f=f, ti=ti: apply_T(ti, apply_e_r_Y(2, f)))))
     return _run("relations", checks)
 
 
@@ -158,18 +143,14 @@ def suite_modular(n=4, m=5):
         for (e, ep, epp, tag) in modular_triples(nn):
             case = "n=%d %s case %s" % (nn, e, tag)
 
-            def hecke_side(e=e, ep=ep, epp=epp):
-                lhs = qt_csf(e, m) * (t + 1)
-                rhs = qt_csf(ep, m) * t + qt_csf(epp, m)
-                return None if lhs == rhs else (render_xpoly(rhs), render_xpoly(lhs))
-            checks.append(("operator " + case, hecke_side))
-
-            def oracle_side(e=e, ep=ep, epp=epp, nn=nn):
-                lhs = chromatic_qsf(graph_from_eseq(e), nn) * (t + 1)
-                rhs = (chromatic_qsf(graph_from_eseq(ep), nn) * t
-                       + chromatic_qsf(graph_from_eseq(epp), nn))
-                return None if lhs == rhs else (render_xpoly(rhs), render_xpoly(lhs))
-            checks.append(("coloring " + case, oracle_side))
+            checks.append(("operator " + case, _eq_check(
+                lambda e=e: qt_csf(e, m) * (t + 1),
+                lambda ep=ep, epp=epp: qt_csf(ep, m) * t + qt_csf(epp, m))))
+            checks.append(("coloring " + case, _eq_check(
+                lambda e=e, nn=nn: chromatic_qsf(graph_from_eseq(e), nn) * (t + 1),
+                lambda ep=ep, epp=epp, nn=nn: (
+                    chromatic_qsf(graph_from_eseq(ep), nn) * t
+                    + chromatic_qsf(graph_from_eseq(epp), nn)))))
     return _run("modular", checks)
 
 
@@ -242,12 +223,9 @@ def suite_mult(n=4, m=None):
             for e1 in enumerate_eseqs(n1):
                 for e2 in enumerate_eseqs(n2):
                     case = "%s + %s m=%d" % (e1, e2, m)
-
-                    def thunk(e1=e1, e2=e2):
-                        lhs = qt_csf(concat(e1, e2), m)
-                        rhs = star(qt_csf(e1, m), qt_csf(e2, m))
-                        return None if lhs == rhs else (render_xpoly(rhs), render_xpoly(lhs))
-                    checks.append((case, thunk))
+                    checks.append((case, _eq_check(
+                        lambda e1=e1, e2=e2: qt_csf(concat(e1, e2), m),
+                        lambda e1=e1, e2=e2: star(qt_csf(e1, m), qt_csf(e2, m)))))
     return _run("mult", checks)
 
 

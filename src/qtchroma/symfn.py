@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .qt import QTCoeff, ZERO, ONE, from_int, qt_monomial, render_coeff
+from .qt import QTCoeff, ZERO, ONE, from_int, qt_monomial, _render_sum
 from .xring import XPoly, is_symmetric, _distinct_perms
 
 
@@ -151,22 +151,8 @@ class EExpansion:
 
 def _render_terms(pairs):
     """Text form of (partition, coefficient) pairs, in the order given."""
-    parts = []
-    for lam, c in pairs:
-        cs = render_coeff(c)
-        body = "e[%s]" % ",".join(str(p) for p in lam)
-        if cs == "1":
-            parts.append(body)
-        elif cs == "-1":
-            parts.append("-" + body)
-        else:
-            parts.append("%s*%s" % (cs, body))
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-    return out
+    return _render_sum((c, "e[%s]" % ",".join(str(p) for p in lam))
+                       for lam, c in pairs)
 
 
 def _zero_one_count(rows, cols, memo):

@@ -8,7 +8,7 @@ term maps are sparse.
 
 from __future__ import annotations
 
-from .qt import QTCoeff, ZERO, ONE, from_int, render_coeff
+from .qt import QTCoeff, ZERO, ONE, from_int, _render_sum
 
 
 class XError(ValueError):
@@ -270,33 +270,12 @@ def assert_integral(f):
 # Text rendering
 # ---------------------------------------------------------------------------
 
-def _render_xterm(e, c):
-    vars_ = []
-    for j, a in enumerate(e):
-        if a == 1:
-            vars_.append("X%d" % (j + 1))
-        elif a:
-            vars_.append("X%d^%d" % (j + 1, a))
-    body = "*".join(vars_)
-    if not body:
-        return render_coeff(c)
-    cs = render_coeff(c)
-    if cs == "1":
-        return body
-    if cs == "-1":
-        return "-" + body
-    return "%s*%s" % (cs, body)
+def _render_monomial(e):
+    return "*".join("X%d" % (j + 1) if a == 1 else "X%d^%d" % (j + 1, a)
+                    for j, a in enumerate(e) if a)
 
 
 def render_xpoly(f):
     """Canonical text form, terms in descending lex order of exponents."""
-    if not f.terms:
-        return "0"
-    parts = [_render_xterm(e, f.terms[e]) for e in sorted(f.terms, reverse=True)]
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
-    return out
+    return _render_sum((f.terms[e], _render_monomial(e))
+                       for e in sorted(f.terms, reverse=True))

@@ -118,7 +118,7 @@ def test_star_cli_rejects_inhomogeneous_g(capsys):
 def test_star_cli_non_triangular_transport_exits_2(capsys, monkeypatch):
     from qtchroma import qmapstar
     monkeypatch.setattr(qmapstar, "_e_image",
-                        lambda m, lam: e_poly((1,) * sum(lam), m))
+                        lambda lam: {(1,) * sum(lam): from_int(1)})
     qmapstar._column.cache_clear()
     try:
         code, out, err = run(capsys, "star", "--f", "e[1]", "--g", "e[2]",
@@ -239,6 +239,29 @@ def test_verify_rejects_sizes_that_run_no_case(capsys):
         assert err == "error: verify %s needs %s" % (argv[0], msg)
 
 
+def test_verify_rejects_flags_its_suite_does_not_take(capsys):
+    for argv, flag in [(("dist", "--m", "3", "--r", "7"), "m"),
+                       (("dist", "--r", "7"), "r"),
+                       (("pieri", "--n", "2"), "n"),
+                       (("q1", "--count", "1"), "count"),
+                       (("relations", "--n", "3"), "n")]:
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == "error: verify %s takes no --%s" % (argv[0], flag)
+
+
+def test_expand_zero_variables_is_not_the_default(capsys):
+    code, out, err = run(capsys, "expand", "--eseq", "0,0", "--m", "0")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: need at least 2 variables for a faithful degree-2 "
+                   "e-expansion, got m=0")
+    # with --m left out, m is the number of vertices
+    assert run(capsys, "expand", "--eseq", "0,0")[:2] == \
+        run(capsys, "expand", "--eseq", "0,0", "--m", "2")[:2]
+
+
 def test_verify_zero_is_a_size_not_the_default(capsys):
     code, out, _ = run(capsys, "--format", "json", "verify", "pieri", "--r", "0")
     assert code == 0
@@ -249,12 +272,12 @@ def test_verify_zero_is_a_size_not_the_default(capsys):
 def test_verify_sizes_at_and_below_their_minimum(capsys, suite):
     sizes = _VERIFY_SIZES[suite].values()
     argv = ["--format", "json", "verify", suite]
-    for flag, _default, least in sizes:
+    for flag, least in sizes:
         argv += ["--" + flag, str(least)]
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert json.loads(out)["cases"] >= 1
-    for flag, _default, least in sizes:
+    for flag, least in sizes:
         code, out, err = run(capsys, "verify", suite, "--" + flag, str(least - 1))
         assert code == 2, flag
         assert out == ""

@@ -8,7 +8,7 @@ import pytest
 from qtchroma.qt import ONE, from_int, qt_monomial, t_int, t_factorial
 from qtchroma.xring import XPoly, is_symmetric
 from qtchroma.symfn import partitions_of, e_poly, e_range, expand_in_e, EExpansion
-from qtchroma.graphs import enumerate_eseqs, concat
+from qtchroma.graphs import enumerate_eseqs, concat, eseq_of_partition
 from qtchroma.qtcsf import qt_csf, c_lambda
 from qtchroma import qmapstar
 from qtchroma.qmapstar import (QMapError, q_map, q_map_e, q_map_inv_sym, star,
@@ -188,14 +188,38 @@ def test_transported_elementaries_are_triangular():
     # the evidence back substitution rests on: the column of lam holds only
     # e_mu with mu >= lam (lex), and its e_lam coefficient is the monomial
     # t^{sum binom(lam_i, 2)} q^{-n(lam)}, n(lam) = sum (i-1) lam_i
+    # every column with |lam| <= 6 at m = |lam|, where the columns are
+    # built, and the lower degrees at the m >= 2|lam| the solves use
     cases = [(d, m) for d in range(1, 5) for m in range(2 * d, 2 * d + 3)]
-    for d, m in cases + [(5, 10)]:
+    cases += [(5, 10)] + [(d, max(d, 2)) for d in range(1, 7)]
+    for d, m in cases:
         for lam in partitions_of(d):
             coeffs = expand_in_e(q_map_e(lam, m)).coeffs
             assert all(mu >= lam for mu in coeffs), (lam, m)
             te = sum(p * (p - 1) // 2 for p in lam)
             qe = -sum(i * p for i, p in enumerate(lam))
             assert coeffs[lam] == qt_monomial(1, qe, te), (lam, m)
+
+
+def test_q_map_e_is_the_lifted_kernel_function():
+    # the column built once at m = |lam| and lifted by to_xpoly against the
+    # direct pipeline at each m: qt_csf of K_lam over prod_i [lam_i]_t!
+    cases = [(d, m) for d in range(1, 6) for m in range(2, 2 * d + 3)]
+    for d, m in cases + [(6, 7), (6, 8)]:
+        for lam in partitions_of(d):
+            scale = ONE
+            for p in lam:
+                scale = scale * t_factorial(p)
+            # orbit members share one coefficient object: divide each once
+            quotients = {}
+            want = {}
+            for e, c in qt_csf(eseq_of_partition(lam), m).terms.items():
+                x = quotients.get(id(c))
+                if x is None:
+                    x = quotients[id(c)] = c / scale
+                want[e] = x
+            want = XPoly(m, want)
+            assert q_map_e(lam, m).to_json() == want.to_json(), (lam, m)
 
 
 @pytest.fixture
@@ -215,12 +239,11 @@ def test_q_map_inv_sym_rejects_non_triangular_images(monkeypatch, cold_columns):
     f = e_poly((2,), 4)
     # a monomial diagonal, but e_{1,1} sits below (2,) in lex order
     monkeypatch.setattr(qmapstar, "_e_image",
-                        lambda m, lam: e_poly(lam, m) + e_poly((1,) * sum(lam), m))
+                        lambda lam: {lam: ONE, (1,) * sum(lam): ONE})
     with pytest.raises(QMapError, match="not triangular"):
         q_map_inv_sym(f)
     # a diagonal entry 1 + t is not a monomial
-    monkeypatch.setattr(qmapstar, "_e_image",
-                        lambda m, lam: e_poly(lam, m) * (T + 1))
+    monkeypatch.setattr(qmapstar, "_e_image", lambda lam: {lam: T + 1})
     with pytest.raises(QMapError, match="not triangular"):
         q_map_inv_sym(f)
 

@@ -67,3 +67,16 @@ def test_qmap_suite_checks_the_y_operator_chain(monkeypatch):
     rep = suite_qmap(r=2, m=4)
     assert [case for case, _e, _a in rep.failures] == [
         "e_1 m=2", "e_2 m=2", "e_1 m=3", "e_2 m=3", "e_1 m=4", "e_2 m=4"]
+
+
+def test_equality_checks_report_rhs_as_expected_and_lhs_as_actual(monkeypatch):
+    # the suites' equality cases share one route: a failure renders the
+    # right-hand side as "expected" and the left-hand side as "actual"
+    from qtchroma import suites
+    from qtchroma.xring import XPoly, render_xpoly
+    from qtchroma.qtcsf import qt_csf
+    from qtchroma.graphs import concat
+    monkeypatch.setattr(suites, "star", lambda f, g: XPoly.zero(f.m))
+    rep = suites.suite_mult(n=2)
+    assert rep.failures == [("(0,) + (0,) m=4", "0",
+                             render_xpoly(qt_csf(concat((0,), (0,)), 4)))]

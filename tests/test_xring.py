@@ -134,6 +134,15 @@ def test_render():
     assert render_xpoly(g) == "X1^2*X2 - X1*X2^2"
 
 
+def test_render_constant_terms():
+    # a constant keeps its coefficient, 1 and -1 included, and joins by sign
+    assert render_xpoly(XPoly.one(2)) == "1"
+    q = qt_monomial(1, 1, 0)
+    h = XPoly(2, {(0, 0): -1, (1, 0): -2, (0, -1): q + 1, (1, 1): -q})
+    assert render_xpoly(h) == "-q*X1*X2 - 2*X1 - 1 + (1+q)*X2^-1"
+    assert render_xpoly(XPoly(1, {(0,): -3, (2,): -1})) == "-X1^2 - 3"
+
+
 def test_json_round_trip():
     rng = random.Random(7)
     for _ in range(20):
