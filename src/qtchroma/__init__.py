@@ -14,9 +14,8 @@ from .graphs import (GraphError, OrientedGraph, check_eseq, check_aseq,
                      hseq_to_eseq, edges_from_aseq, graph_from_eseq, concat,
                      enumerate_eseqs, modular_triples, chromatic_qsf,
                      complete_eseq, eseq_of_partition, eseq_weight)
-from .qtcsf import (apply_S, apply_hatS, qt_csf, qt_csf_via_s, check_stability,
-                    check_q1_collapse, c_lambda, check_dist_identity,
-                    check_qinf_limit)
+from .qtcsf import (apply_hatS, qt_csf, check_stability, check_q1_collapse,
+                    c_lambda, check_dist_identity, check_qinf_limit)
 from .qmapstar import (QMapError, q_map, q_map_e, q_map_inv_sym, star,
                        qt_elementary, check_pieri, pieri_rhs, apply_e_r_Y)
 from .suites import SUITES, VerifyReport

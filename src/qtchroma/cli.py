@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 identity failure, 2 usage or precondition error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import re
 import sys
@@ -52,7 +53,11 @@ _ELIT_TERM = re.compile(r"^(?:(-?\d+)\*)?e\[([0-9,]*)\]$")
 
 
 def parse_symfn(text, m):
-    """Parse a symmetric-function literal like "e[2,1] + 3*e[1,1,1]"."""
+    """Parse a symmetric-function literal like "e[2,1] + 3*e[1,1,1]".
+
+    Each term e[lam] needs m >= |lam| variables, so that a literal is zero
+    only when it names the zero function.
+    """
     s = text.replace(" ", "")
     if not s:
         raise XError("empty symmetric-function literal")
@@ -75,6 +80,7 @@ def parse_symfn(text, m):
             raise XError("partition parts must be positive in %r" % chunk)
         if tuple(sorted(lam, reverse=True)) != lam:
             raise XError("partition must be weakly decreasing in %r" % chunk)
+        _check_faithful(sum(lam), m)
         out = out + e_poly(lam, m) * coef
     return out
 
@@ -87,8 +93,15 @@ def _specialize(f, args):
     return f
 
 
-def _emit_poly(f, args):
+def _emit_poly(f, args, degree):
+    """Print f, a symmetric function of the given degree, in args.basis.
+
+    The e-basis needs m >= degree; expand_in_e checks that only on a
+    nonzero f, so a result that vanishes for lack of variables is
+    rejected here.
+    """
     if args.basis == "e":
+        _check_faithful(degree, f.m)
         exp = expand_in_e(f)
         if args.format == "json":
             print(json.dumps(exp.to_json()))
@@ -103,12 +116,8 @@ def _emit_poly(f, args):
 
 def cmd_compute(args):
     eseq = _parse_seq(args)
-    if args.basis == "e":
-        # the result has degree len(eseq); with fewer variables its
-        # e-expansion is not faithful even when the polynomial is zero
-        _check_faithful(len(eseq), args.m)
     f = _specialize(qt_csf(eseq, args.m), args)
-    _emit_poly(f, args)
+    _emit_poly(f, args, len(eseq))
     return 0
 
 
@@ -129,7 +138,8 @@ def cmd_star(args):
     g = parse_symfn(args.g, args.m)
     h = star(f, g)
     args.basis = args.basis or "e"
-    _emit_poly(h, args)
+    # a zero input is the zero function (parse_symfn), and so is h
+    _emit_poly(h, args, (f.degree() or 0) + (g.degree() or 0))
     return 0
 
 
@@ -143,47 +153,30 @@ def cmd_qt_elem(args):
                          % args.partition)
     f = qt_elementary(lam, args.m)
     args.basis = args.basis or "e"
-    _emit_poly(f, args)
+    _emit_poly(f, args, sum(lam))
     return 0
 
 
-# The size flags of verify, and per suite: keyword -> (flag, smallest value
-# that runs a case).  A flag left out leaves the suite's own default.
+# The size flags of verify; each suite takes those its signature names.
 _VERIFY_FLAGS = ("n", "m", "r", "count")
-_VERIFY_SIZES = {
-    "relations": {"m_max": ("m", 2), "count": ("count", 1)},
-    "modular": {"n": ("n", 3), "m": ("m", 2)},
-    "stability": {"n": ("n", 1), "m": ("m", 3)},
-    "symmetry": {"n": ("n", 1), "m": ("m", 2)},
-    "integrality": {"n": ("n", 1), "m": ("m", 2)},
-    "q1": {"n": ("n", 1), "m": ("m", 2)},
-    "qinf": {"n": ("n", 1), "m": ("m", 2)},
-    "dist": {"n": ("n", 1)},
-    "pieri": {"r": ("r", 0)},
-    "mult": {"n": ("n", 2), "m": ("m", 4)},
-    "qmap": {"r": ("r", 1), "m": ("m", 2)},
-}
 
 
 def cmd_verify(args):
     fn = SUITES[args.suite]
-    sizes = _VERIFY_SIZES[args.suite]
-    taken = [flag for flag, _least in sizes.values()]
+    taken = inspect.signature(fn).parameters
+    sizes = {}
     for flag in _VERIFY_FLAGS:
-        if flag not in taken and getattr(args, flag) is not None:
-            raise _UsageError("verify %s takes no --%s" % (args.suite, flag))
-    kwargs = {}
-    for key, (flag, least) in sizes.items():
         value = getattr(args, flag)
         if value is None:
             continue
-        if value < least:
-            raise _UsageError("verify %s needs --%s >= %d, got %d"
-                              % (args.suite, flag, least, value))
-        kwargs[key] = value
-    if args.suite == "relations":
-        kwargs.update(deg_max=4, seed=args.seed)
-    report = fn(**kwargs)
+        if flag not in taken:
+            raise _UsageError("verify %s takes no --%s" % (args.suite, flag))
+        sizes[flag] = value
+    seed = {"seed": args.seed} if "seed" in taken else {}
+    report = fn(**sizes, **seed)
+    if not report.cases:
+        raise _UsageError("verify %s runs no case with %s" % (
+            args.suite, " ".join("--%s %d" % kv for kv in sizes.items())))
     if args.format == "json":
         print(json.dumps(report.to_json()))
     else:

@@ -18,6 +18,10 @@ polynomials in the Y operators commute, so the quantum product of f and
 g is the ordinary product of their transported e-coordinates, summed in
 e-coordinates over the columns of e_nu(Y) . 1 and mapped to a
 polynomial once.
+
+Since the columns are m-free, the one precondition on m is that of
+expand_in_e: an input of degree d needs m >= d variables, so that its
+e-coordinates are faithful.  The outputs are exact at every m >= 1.
 """
 
 from __future__ import annotations
@@ -112,23 +116,21 @@ def q_map_inv_sym(f):
     """Coordinates of f in the transported elementary basis.
 
     Returns the unique EExpansion c with sum_lam c_lam * q_map_e(lam)
-    equal to f.  Needs f symmetric homogeneous with enough variables
-    (m >= 2*degree) so the images stay linearly independent.  Solves by
-    back substitution in ascending lex order: the column of lam holds
+    equal to f.  Needs f symmetric homogeneous with m >= deg f variables,
+    the bound at which expand_in_e reads faithful e-coordinates; the
+    columns do not depend on m, so no further headroom is needed.  Solves
+    by back substitution in ascending lex order: the column of lam holds
     only e_mu with mu >= lam and a monomial e_lam coefficient, so the
     lowest partition left with a nonzero coefficient fixes c_lam, and
     only the columns the solve reaches are built.
     """
     if f.is_zero():
         return EExpansion(0, {})
-    d = f.degree()
-    if f.m < 2 * d:
-        raise QMapError("need m >= %d variables to invert at degree %d, got %d"
-                        % (2 * d, d, f.m))
     try:
         target = expand_in_e(f)
     except SymFnError as exc:
         raise QMapError(str(exc)) from None
+    d = target.n
     if d == 0:
         return target
     rest = dict(target.coeffs)
@@ -177,21 +179,20 @@ def star(f, g):
     With f = sum c_lam e_lam(Y) . 1 and g = sum d_mu e_mu(Y) . 1, the
     product is sum c_lam d_mu e_{lam u mu}(Y) . 1.  The sum is taken in
     e-coordinates, over the cached columns of the images, and mapped to
-    a polynomial once.
+    a polynomial once.  Needs m >= the degree of each input, as
+    q_map_inv_sym does; the product may exceed m in degree and is still
+    exact as a polynomial.
     """
     if f.m != g.m:
         raise XError("variable counts differ: %d vs %d" % (f.m, g.m))
     m = f.m
     if f.is_zero() or g.is_zero():
         return XPoly.zero(m)
-    df, dg = f.degree(), g.degree()
-    if m < 2 * (df + dg):
-        raise QMapError("need m >= %d variables for degrees %d and %d"
-                        % (2 * (df + dg), df, dg))
-    b = q_map_inv_sym(g).coeffs
+    b = q_map_inv_sym(g)
+    a = q_map_inv_sym(f)
     coords = {}
-    for lam, c in q_map_inv_sym(f).coeffs.items():
-        for mu, d in b.items():
+    for lam, c in a.coeffs.items():
+        for mu, d in b.coeffs.items():
             nu = tuple(sorted(lam + mu, reverse=True))
             s = coords.get(nu)
             coords[nu] = c * d if s is None else s + c * d
@@ -203,18 +204,16 @@ def star(f, g):
         for mu, k in ((nu, diag),) + others:
             s = out.get(mu)
             out[mu] = k * c if s is None else s + k * c
-    return EExpansion(df + dg, out).to_xpoly(m)
+    return EExpansion(a.n + b.n, out).to_xpoly(m)
 
 
 def qt_elementary(lam, m):
     """The iterated quantum product of elementaries along lam.
 
-    Equals the transported e_lam(Y) rescaled by t^{-sum lam_i(lam_i-1)/2}.
+    Equals the transported e_lam(Y) rescaled by t^{-sum lam_i(lam_i-1)/2},
+    exact at every m >= 1; its e-coordinates are faithful from m >= |lam|.
     """
     lam = tuple(sorted(lam, reverse=True))
-    n = sum(lam)
-    if m < 2 * n:
-        raise QMapError("need m >= %d variables for weight %d" % (2 * n, n))
     k = sum(p * (p - 1) // 2 for p in lam)
     return q_map_e(lam, m) * qt_monomial(1, 0, -k)
 
@@ -232,12 +231,14 @@ def check_pieri(r, m):
 
     For each 1 <= a <= m the partial sum of operator words applied to
     e_r must match the two-sum closed form in split elementary
-    polynomials; a = m recovers the product rule itself.
+    polynomials; a = m recovers the product rule itself.  Needs
+    m >= max(r, 1): with fewer variables e_r is zero and the check is
+    vacuous.
     """
     if r < 0:
         raise QMapError("need r >= 0")
-    if m < 2 * (r + 1):
-        raise QMapError("need m >= %d" % (2 * (r + 1)))
+    if m < max(r, 1):
+        raise QMapError("need m >= %d" % max(r, 1))
     er = e_range(r, 1, m, m)
     one_m_qinv = from_int(1) - qt_monomial(1, -1, 0)
     qinv = qt_monomial(1, -1, 0)

@@ -23,22 +23,6 @@ from .graphs import (check_eseq, eseq_to_aseq, graph_from_eseq, chromatic_qsf,
                      eseq_weight)
 
 
-def apply_S(i, e, f):
-    """The partial symmetrizer with m+e-i+1 summands (T indices mod m).
-
-    Zero when e < i-m, the identity when e = i-m.
-    """
-    m = f.m
-    if e < i - m:
-        return XPoly.zero(m)
-    total = f
-    g = f
-    for j in range(i, m + e):
-        g = apply_T_inv(j % m, g)
-        total = total + g
-    return total
-
-
 def apply_hatS(a, f):
     """(1 + T_1^{-1} + ... + T_a^{-1}...T_1^{-1}) Pi, zero for a < 0.
 
@@ -118,22 +102,6 @@ def qt_csf(eseq, m):
         if f.is_zero():
             return f
     return f
-
-
-def qt_csf_via_s(eseq, m):
-    """Same value through the other operator factorization (S then Pi^n)."""
-    eseq = check_eseq(eseq)
-    if m < 2:
-        raise XError("need m >= 2 variables")
-    n = len(eseq)
-    f = XPoly.one(m)
-    for _ in range(n):
-        f = apply_pi(f)
-    for i in range(n, 0, -1):
-        f = apply_S(i, eseq[i - 1], f)
-        if f.is_zero():
-            return f
-    return f * qt_monomial(1, 0, n * (m - 1))
 
 
 def check_stability(eseq, m, mp):

@@ -89,45 +89,46 @@ def _rand_poly(rng, m, deg, nterms=3):
     return XPoly(m, terms)
 
 
-def suite_relations(m_max=5, deg_max=4, count=50, seed=0):
-    """Operator relation checks on random polynomials, fixed seed."""
+def suite_relations(m=5, deg_max=4, count=50, seed=0):
+    """Operator relation checks on random polynomials, fixed seed, in
+    2..m variables."""
     rng = random.Random(seed)
     checks = []
     t = qt_monomial(1, 0, 1)
-    for m in range(2, m_max + 1):
+    for mm in range(2, m + 1):
         for deg in range(1, deg_max + 1):
             for trial in range(count):
-                f = _rand_poly(rng, m, deg)
-                i = rng.randrange(m)
-                j = rng.randrange(m)
-                tag = "m=%d deg=%d trial=%d" % (m, deg, trial)
+                f = _rand_poly(rng, mm, deg)
+                i = rng.randrange(mm)
+                j = rng.randrange(mm)
+                tag = "m=%d deg=%d trial=%d" % (mm, deg, trial)
 
                 checks.append(("quadratic " + tag, _eq_check(
                     lambda f=f, i=i: apply_T(i, apply_T(i, f)),
                     lambda f=f, i=i: apply_T(i, f) * (t - 1) + f * t)))
                 checks.append(("rotation " + tag, _eq_check(
                     lambda f=f, i=i: apply_pi(apply_T(i, f)),
-                    lambda f=f, i=i: apply_T((i + 1) % m, apply_pi(f)))))
+                    lambda f=f, i=i: apply_T((i + 1) % mm, apply_pi(f)))))
 
-                if m > 2:
-                    jj = (i + 1) % m
+                if mm > 2:
+                    jj = (i + 1) % mm
                     checks.append(("braid " + tag, _eq_check(
                         lambda f=f, i=i, jj=jj: apply_T(i, apply_T(jj, apply_T(i, f))),
                         lambda f=f, i=i, jj=jj: apply_T(jj, apply_T(i, apply_T(jj, f))))))
 
-                if m > 3 and j not in (i, (i + 1) % m, (i - 1) % m):
+                if mm > 3 and j not in (i, (i + 1) % mm, (i - 1) % mm):
                     checks.append(("commutation " + tag, _eq_check(
                         lambda f=f, i=i, j=j: apply_T(i, apply_T(j, f)),
                         lambda f=f, i=i, j=j: apply_T(j, apply_T(i, f)))))
 
-                yi = rng.randint(1, m)
-                yj = rng.randint(1, m)
+                yi = rng.randint(1, mm)
+                yj = rng.randint(1, mm)
                 checks.append(("Y-commutativity " + tag, _eq_check(
                     lambda f=f, yi=yi, yj=yj: apply_Y(yi, apply_Y(yj, f)),
                     lambda f=f, yi=yi, yj=yj: apply_Y(yj, apply_Y(yi, f)))))
 
                 if trial < 5:
-                    ti = rng.randrange(1, m)
+                    ti = rng.randrange(1, mm)
                     # e_2(Y) is central, so it commutes with T_i.
                     checks.append(("centrality " + tag, _eq_check(
                         lambda f=f, ti=ti: apply_e_r_Y(2, apply_T(ti, f)),

@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .qt import QTCoeff, ZERO, ONE, from_int, qt_monomial, _render_sum
-from .xring import XPoly, is_symmetric, _distinct_perms
+from .xring import XPoly, XError, is_symmetric, _distinct_perms
 
 
 class SymFnError(ValueError):
@@ -115,6 +115,8 @@ class EExpansion:
         parts, is sum_lam c_lam [X^nu] e_lam, read from the per-degree
         table; every rearrangement of nu gets the same coefficient.
         """
+        if m < 1:
+            raise XError("need at least one variable, got m=%d" % m)
         out = {}
         for nu, _mu, entries in _e_table(self.n):
             if len(nu) > m:

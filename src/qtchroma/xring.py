@@ -63,18 +63,6 @@ class XPoly:
         c = ONE if qpow == 0 else QTCoeff({(qpow, 0): 1})
         return cls._raw(m, {tuple(exps): c})
 
-    @classmethod
-    def monomial(cls, m, exps, coeff=None):
-        if coeff is None:
-            coeff = ONE
-        if isinstance(coeff, int):
-            coeff = from_int(coeff)
-        if coeff.is_zero():
-            return cls.zero(m)
-        if len(exps) != m:
-            raise XError("exponent vector length %d != m=%d" % (len(exps), m))
-        return cls._raw(m, {tuple(exps): coeff})
-
     # -- predicates -----------------------------------------------------
 
     def is_zero(self):

@@ -159,5 +159,5 @@ def test_11_multiplicativity():
 
 def test_12_operator_relations():
     with budget("12 operator-relations", 60):
-        report = suite_relations(m_max=5, deg_max=4, count=50, seed=0)
+        report = suite_relations(m=5, deg_max=4, count=50, seed=0)
         assert report.ok, report.render()

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from qtchroma.cli import main, parse_symfn, render_eexp, _VERIFY_SIZES
+from qtchroma.cli import main, parse_symfn, render_eexp
+from qtchroma.qmapstar import star, qt_elementary
 from qtchroma.qt import qt_monomial, from_int
 from qtchroma.xring import XPoly
 from qtchroma.symfn import EExpansion, e_poly
@@ -130,6 +131,48 @@ def test_star_cli_non_triangular_transport_exits_2(capsys, monkeypatch):
     assert err.startswith("error:") and "not triangular" in err
 
 
+def test_transport_cli_needs_m_at_least_the_degree(capsys):
+    # each input literal needs m >= its degree, and an e-basis answer
+    # m >= the result's degree, even when the polynomial is zero
+    msg = "need at least %d variables for a faithful degree-%d e-expansion, got m=%d"
+    for argv, bound in [(("qt-elem", "--partition", "3", "--m", "2"), (3, 3, 2)),
+                        (("qt-elem", "--partition", "2,1", "--m", "2"), (3, 3, 2)),
+                        (("star", "--f", "e[1]", "--g", "e[2]", "--m", "2"), (3, 3, 2)),
+                        (("star", "--f", "e[2]", "--g", "e[1]", "--m", "1",
+                          "--basis", "monomial"), (2, 2, 1))]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == "error: " + msg % bound
+    for m, argv in (("0", ("qt-elem", "--partition", "1")),
+                    ("-3", ("qt-elem", "--partition", "1", "--basis", "monomial")),
+                    ("0", ("star", "--f", "e[1]", "--g", "e[1]"))):
+        code, out, err = run(capsys, *argv, "--m", m)
+        assert code == 2, argv
+        assert out == ""
+        assert err == "error: need at least one variable, got m=" + m
+
+
+def test_transport_cli_below_twice_the_degree(capsys):
+    # the monomial basis needs only m >= each input's degree
+    code, out, _ = run(capsys, "--format", "json", "star", "--f", "e[1]",
+                       "--g", "e[2]", "--m", "2", "--basis", "monomial")
+    assert code == 0
+    want = star(e_poly((1,), 2), e_poly((2,), 2))
+    assert XPoly.from_json(json.loads(out)) == want
+    code, out, _ = run(capsys, "--format", "json", "qt-elem", "--partition",
+                       "2,1", "--m", "2", "--basis", "monomial")
+    assert code == 0
+    assert XPoly.from_json(json.loads(out)) == qt_elementary((2, 1), 2)
+    # the README examples, at m = the result's degree
+    code, out, _ = run(capsys, "star", "--f", "e[1]", "--g", "e[2]", "--m", "3")
+    assert code == 0
+    assert out == run(capsys, "star", "--f", "e[1]", "--g", "e[2]", "--m", "6")[1]
+    code, out, _ = run(capsys, "qt-elem", "--partition", "2,1", "--m", "3")
+    assert code == 0
+    assert out == run(capsys, "qt-elem", "--partition", "2,1", "--m", "6")[1]
+
+
 def test_qt_elem_cli(capsys):
     code, out, _ = run(capsys, "qt-elem", "--partition", "2", "--m", "4",
                        "--basis", "e")
@@ -228,15 +271,15 @@ def test_e_basis_needs_as_many_variables_as_vertices(capsys):
 
 
 def test_verify_rejects_sizes_that_run_no_case(capsys):
-    for argv, msg in [(("dist", "--n", "-1"), "--n >= 1, got -1"),
-                      (("dist", "--n", "0"), "--n >= 1, got 0"),
-                      (("pieri", "--r", "-2"), "--r >= 0, got -2"),
-                      (("relations", "--count", "-5"), "--count >= 1, got -5"),
-                      (("stability", "--m", "-1"), "--m >= 3, got -1")]:
+    for argv in [("dist", "--n", "-1"), ("dist", "--n", "0"),
+                 ("pieri", "--r", "-2"), ("relations", "--count", "-5"),
+                 ("stability", "--m", "-1"), ("mult", "--n", "1"),
+                 ("relations", "--m", "3", "--count", "0")]:
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2, argv
         assert out == ""
-        assert err == "error: verify %s needs %s" % (argv[0], msg)
+        assert err == "error: verify %s runs no case with %s" % (
+            argv[0], " ".join(argv[1:]))
 
 
 def test_verify_rejects_flags_its_suite_does_not_take(capsys):
@@ -268,17 +311,39 @@ def test_verify_zero_is_a_size_not_the_default(capsys):
     assert json.loads(out)["cases"] == 1          # r = 0 only, not r = 0..5
 
 
-@pytest.mark.parametrize("suite", sorted(_VERIFY_SIZES))
+# The least value of each size flag at which its suite runs a case, with
+# the other flags at their least.  One below (the other flags at their
+# defaults) the suite runs no case or raises, and verify exits 2; except
+# that suite_qmap's round trips run at every --r and --m.
+LEAST = {
+    "relations": {"m": 2, "count": 1},
+    "modular": {"n": 3, "m": 2},
+    "stability": {"n": 1, "m": 3},
+    "symmetry": {"n": 1, "m": 2},
+    "integrality": {"n": 1, "m": 2},
+    "q1": {"n": 1, "m": 2},
+    "qinf": {"n": 1, "m": 2},
+    "dist": {"n": 1},
+    "pieri": {"r": 0},
+    "mult": {"n": 2, "m": 2},
+    "qmap": {"r": 0, "m": 1},
+}
+
+
+@pytest.mark.parametrize("suite", sorted(LEAST))
 def test_verify_sizes_at_and_below_their_minimum(capsys, suite):
-    sizes = _VERIFY_SIZES[suite].values()
+    sizes = LEAST[suite]
     argv = ["--format", "json", "verify", suite]
-    for flag, least in sizes:
+    for flag, least in sizes.items():
         argv += ["--" + flag, str(least)]
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert json.loads(out)["cases"] >= 1
-    for flag, least in sizes:
+    for flag, least in sizes.items():
         code, out, err = run(capsys, "verify", suite, "--" + flag, str(least - 1))
+        if suite == "qmap":
+            assert code == 0 and "0 failures" in out, flag
+            continue
         assert code == 2, flag
         assert out == ""
-        assert err.startswith("error: verify %s needs --%s" % (suite, flag))
+        assert err.startswith("error: ")

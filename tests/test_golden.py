@@ -20,8 +20,9 @@ if __name__ == "__main__":
     sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
 from qtchroma.graphs import enumerate_eseqs
-from qtchroma.qtcsf import qt_csf, qt_csf_via_s, check_q1_collapse
+from qtchroma.qtcsf import qt_csf, check_q1_collapse
 from qtchroma.symfn import expand_in_e
+from test_qtcsf import qt_csf_via_s
 
 PATH = os.path.join(HERE, "data", "golden_e.json")
 MAX_N = 6

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from qtchroma.qt import ONE, from_int, qt_monomial, t_int, t_factorial
-from qtchroma.xring import XPoly, is_symmetric
+from qtchroma.xring import XPoly, XError
 from qtchroma.symfn import partitions_of, e_poly, e_range, expand_in_e, EExpansion
 from qtchroma.graphs import enumerate_eseqs, concat, eseq_of_partition
 from qtchroma.qtcsf import qt_csf, c_lambda
@@ -255,9 +255,13 @@ def test_q_map_inv_sym_degree_zero():
     assert q_map_inv_sym(XPoly.zero(3)) == EExpansion(0, {})
 
 
+FAITHFUL_2_AT_1 = ("need at least 2 variables for a faithful degree-2 "
+                   "e-expansion, got m=1")
+
+
 def test_q_map_inv_sym_preconditions():
-    with pytest.raises(QMapError):
-        q_map_inv_sym(e_poly((2,), 3))            # m < 2*degree
+    with pytest.raises(QMapError, match=FAITHFUL_2_AT_1):
+        q_map_inv_sym(e_poly((1, 1), 1))          # X1^2: m < degree
     with pytest.raises(QMapError):
         q_map_inv_sym(XPoly(4, {(1, 0, 0, 0): 1}))  # not symmetric
     with pytest.raises(QMapError):
@@ -285,18 +289,24 @@ def test_star_identity_element():
 
 
 def test_star_headroom_check():
-    with pytest.raises(QMapError):
-        star(e_poly((2,), 4), e_poly((1,), 4))   # needs m >= 6
+    # each input needs m >= its degree, and no more: the product may
+    # exceed m in degree
+    x1, x1sq = e_poly((1,), 1), e_poly((1, 1), 1)
+    for f, g in ((x1sq, x1), (x1, x1sq)):
+        with pytest.raises(QMapError, match=FAITHFUL_2_AT_1):
+            star(f, g)
+    assert star(x1, x1) == qt_elementary((1, 1), 1)
 
 
 def test_star_matches_y_operator_oracle():
     # star is commutative, so the oracle applies the lower-degree factor
     # as a Y-operator and both argument orders are compared with it; a
-    # constant factor is covered by the identity tests
+    # constant factor is covered by the identity tests.  m runs from the
+    # faithfulness bound max(df, dg) to 2(df + dg) + 1
     rng = random.Random(7)
     for df in (1, 2):
         for dg in range(df, 5 - df):
-            for m in (2 * (df + dg), 2 * (df + dg) + 1):
+            for m in range(max(df, dg), 2 * (df + dg) + 2):
                 f = _random_symmetric(rng, df, m)
                 g = _random_symmetric(rng, dg, m, _random_monomial)
                 want = star_by_y_operators(f, g).to_json()
@@ -327,11 +337,16 @@ def test_star_rejects_non_symmetric_or_inhomogeneous_g():
 
 
 def test_star_multiplicative_on_disjoint_graphs():
-    for e1 in enumerate_eseqs(1):
-        for e2 in enumerate_eseqs(2):
-            m = 6
-            lhs = qt_csf(concat(e1, e2), m)
-            assert lhs == star(qt_csf(e1, m), qt_csf(e2, m))
+    # every product with n1 + n2 <= 4, from the faithfulness bound of the
+    # larger input up to twice the product's degree
+    for n1 in range(1, 4):
+        for n2 in range(1, 5 - n1):
+            for m in range(max(n1, n2, 2), 2 * (n1 + n2) + 1):
+                for e1 in enumerate_eseqs(n1):
+                    for e2 in enumerate_eseqs(n2):
+                        lhs = qt_csf(concat(e1, e2), m)
+                        rhs = star(qt_csf(e1, m), qt_csf(e2, m))
+                        assert lhs.to_json() == rhs.to_json(), (e1, e2, m)
 
 
 def test_pieri_rule():
@@ -341,11 +356,21 @@ def test_pieri_rule():
         assert check_pieri(r, m)
 
 
+def test_pieri_rule_from_the_faithfulness_bound():
+    # every m from max(r, 1), where e_r stops vanishing, to 2r + 1, below
+    # the old m >= 2(r + 1) guard
+    for r in range(6):
+        for m in range(max(r, 1), 2 * r + 2):
+            assert check_pieri(r, m), (r, m)
+
+
 def test_pieri_preconditions():
     with pytest.raises(QMapError):
         check_pieri(-1, 4)
-    with pytest.raises(QMapError):
-        check_pieri(2, 4)
+    with pytest.raises(QMapError, match="need m >= 3"):
+        check_pieri(3, 2)
+    with pytest.raises(QMapError, match="need m >= 1"):
+        check_pieri(0, 0)
 
 
 def test_qt_elementary_single_part():
@@ -365,18 +390,26 @@ def test_qt_elementary_column():
 def test_qt_elementary_matches_iterated_y_operator_product():
     # the rescaled transported e_lam against the iterated product, each
     # factor applied by the Y-operator oracle
+    # at every m from 1, including those below the weight
     for n in range(0, 4):
-        m = max(2 * n, 1)
-        for lam in partitions_of(n):
-            out = XPoly.one(m)
-            for part in reversed(lam):
-                out = star_by_y_operators(e_range(part, 1, m, m), out)
-            assert qt_elementary(lam, m).to_json() == out.to_json(), lam
+        for m in range(1, max(2 * n, 1) + 1):
+            for lam in partitions_of(n):
+                out = XPoly.one(m)
+                for part in reversed(lam):
+                    out = star_by_y_operators(e_range(part, 1, m, m), out)
+                assert qt_elementary(lam, m).to_json() == out.to_json(), (lam, m)
 
 
 def test_qt_elementary_headroom():
-    with pytest.raises(QMapError):
-        qt_elementary((2, 1), 4)
+    # the columns lift to every m >= 1, and m <= 0 names no polynomial ring
+    for m in (0, -1):
+        with pytest.raises(XError, match="need at least one variable"):
+            qt_elementary((1,), m)
+        with pytest.raises(XError, match="need at least one variable"):
+            q_map_e((), m)
+        with pytest.raises(XError, match="need at least one variable"):
+            EExpansion(0, {(): 1}).to_xpoly(m)
+    assert q_map_e((), 1) == XPoly.one(1)
 
 
 def test_qt_elementary_matches_graph_values():
@@ -392,6 +425,9 @@ def test_qt_elementary_matches_graph_values():
 
 
 def test_round_trip_against_oracle_coefficients():
-    for n in (1, 2, 3):
+    # every graph with n <= 4 at every m from the faithfulness bound n
+    # (qt_csf needs m >= 2) to 2n
+    for n in (1, 2, 3, 4):
         for e in enumerate_eseqs(n):
-            assert q_map_inv_sym(qt_csf(e, 2 * n if n > 1 else 2)) == c_lambda(e)
+            for m in range(max(n, 2), 2 * n + 1):
+                assert q_map_inv_sym(qt_csf(e, m)) == c_lambda(e), (e, m)

@@ -11,10 +11,10 @@ from qtchroma.xring import XPoly, XError, is_symmetric, assert_integral, truncat
 from qtchroma.hecke import apply_T, apply_T_inv, apply_pi
 from qtchroma.symfn import e_range, e_poly, expand_in_e, EExpansion
 from qtchroma.graphs import (enumerate_eseqs, modular_triples, complete_eseq,
-                             graph_from_eseq, chromatic_qsf)
-from qtchroma.qtcsf import (apply_S, apply_hatS, qt_csf, qt_csf_via_s,
-                            check_stability, check_q1_collapse, c_lambda,
-                            check_dist_identity, check_qinf_limit)
+                             graph_from_eseq, chromatic_qsf, check_eseq)
+from qtchroma.qtcsf import (apply_hatS, qt_csf, check_stability,
+                            check_q1_collapse, c_lambda, check_dist_identity,
+                            check_qinf_limit)
 
 T = qt_monomial(1, 0, 1)
 QINV = qt_monomial(1, -1, 0)
@@ -26,6 +26,40 @@ def rand_poly(rng, m, deg=2, nterms=3):
         e = tuple(rng.randint(0, deg) for _ in range(m))
         terms[e] = qt_monomial(rng.randint(-3, 3), 0, rng.randint(0, 1))
     return XPoly(m, terms)
+
+
+# -- the second factorization (test oracle) ---------------------------------
+
+def apply_S(i, e, f):
+    """The partial symmetrizer with m+e-i+1 summands (T indices mod m).
+
+    Zero when e < i-m, the identity when e = i-m.
+    """
+    m = f.m
+    if e < i - m:
+        return XPoly.zero(m)
+    total = f
+    g = f
+    for j in range(i, m + e):
+        g = apply_T_inv(j % m, g)
+        total = total + g
+    return total
+
+
+def qt_csf_via_s(eseq, m):
+    """qt_csf through the other operator factorization (S then Pi^n)."""
+    eseq = check_eseq(eseq)
+    if m < 2:
+        raise XError("need m >= 2 variables")
+    n = len(eseq)
+    f = XPoly.one(m)
+    for _ in range(n):
+        f = apply_pi(f)
+    for i in range(n, 0, -1):
+        f = apply_S(i, eseq[i - 1], f)
+        if f.is_zero():
+            return f
+    return f * qt_monomial(1, 0, n * (m - 1))
 
 
 # -- partial symmetrizers ---------------------------------------------------

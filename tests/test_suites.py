@@ -35,8 +35,8 @@ def test_report_failure_rendering():
 
 
 def test_relations_reproducible():
-    a = suite_relations(m_max=2, deg_max=2, count=4, seed=7)
-    b = suite_relations(m_max=2, deg_max=2, count=4, seed=7)
+    a = suite_relations(m=2, deg_max=2, count=4, seed=7)
+    b = suite_relations(m=2, deg_max=2, count=4, seed=7)
     assert a.ok and b.ok
     assert a.cases == b.cases
 
