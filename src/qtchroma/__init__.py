@@ -3,10 +3,10 @@ unit interval graphs through an affine Hecke algebra action."""
 
 from .qt import (QTError, QTCoeff, from_int, qt_monomial, t_int, t_factorial,
                  specialize_q1, limit_q_infinity, ZERO, ONE)
-from .xring import (XError, XPoly, resolve_index, truncate, is_symmetric,
-                    assert_integral, render_xpoly)
-from .hecke import (HeckeError, apply_s, apply_T, apply_T_inv, apply_pi,
-                    apply_pi_inv, apply_Y)
+from .xring import (XError, XPoly, truncate, is_symmetric, assert_integral,
+                    render_xpoly)
+from .hecke import (HeckeError, apply_T, apply_T_inv, apply_pi, apply_pi_inv,
+                    apply_Y)
 from .symfn import (SymFnError, partitions_of, conjugate, e_poly, e_range,
                     expand_in_e, EExpansion, apply_N, e_stat)
 from .graphs import (GraphError, OrientedGraph, check_eseq, check_aseq,

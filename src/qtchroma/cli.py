@@ -17,9 +17,8 @@ from .xring import XPoly, XError, render_xpoly
 from .hecke import HeckeError
 from .symfn import SymFnError, e_poly, expand_in_e, _render_terms, _check_faithful
 from .graphs import (GraphError, check_eseq, aseq_to_eseq, hseq_to_eseq,
-                     eseq_to_aseq, eseq_to_hseq, graph_from_eseq, chromatic_qsf,
-                     enumerate_eseqs)
-from .qtcsf import qt_csf
+                     eseq_to_aseq, eseq_to_hseq, graph_from_eseq, enumerate_eseqs)
+from .qtcsf import qt_csf, c_lambda
 from .qmapstar import QMapError, star, qt_elementary
 from .suites import SUITES
 
@@ -93,6 +92,13 @@ def _specialize(f, args):
     return f
 
 
+def _emit_eexp(exp, args):
+    if args.format == "json":
+        print(json.dumps(exp.to_json()))
+    else:
+        print(render_eexp(exp))
+
+
 def _emit_poly(f, args, degree):
     """Print f, a symmetric function of the given degree, in args.basis.
 
@@ -102,11 +108,7 @@ def _emit_poly(f, args, degree):
     """
     if args.basis == "e":
         _check_faithful(degree, f.m)
-        exp = expand_in_e(f)
-        if args.format == "json":
-            print(json.dumps(exp.to_json()))
-        else:
-            print(render_eexp(exp))
+        _emit_eexp(expand_in_e(f), args)
     else:
         if args.format == "json":
             print(json.dumps(f.to_json()))
@@ -122,14 +124,7 @@ def cmd_compute(args):
 
 
 def cmd_expand(args):
-    eseq = _parse_seq(args)
-    m = len(eseq) if args.m is None else args.m
-    _check_faithful(len(eseq), m)
-    exp = expand_in_e(chromatic_qsf(graph_from_eseq(eseq), m))
-    if args.format == "json":
-        print(json.dumps(exp.to_json()))
-    else:
-        print(render_eexp(exp))
+    _emit_eexp(c_lambda(_parse_seq(args)), args)
     return 0
 
 
@@ -230,7 +225,6 @@ def build_parser():
 
     sp = sub.add_parser("expand", help="e-expansion of the coloring sum")
     add_seq_flags(sp)
-    sp.add_argument("--m", type=int)
     sp.set_defaults(func=cmd_expand)
 
     sp = sub.add_parser("star", help="quantum product of two literals")

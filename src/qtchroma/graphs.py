@@ -15,7 +15,7 @@ which serves as an independent cross-check for the operator pipeline.
 
 from __future__ import annotations
 
-from .qt import ONE, qt_monomial
+from .qt import qt_monomial
 from .xring import XPoly
 
 

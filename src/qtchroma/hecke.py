@@ -1,8 +1,7 @@
 """The level-one action of the affine Hecke algebra of GL_m on XPoly.
 
-Generators: adjacent swaps s_i, Hecke operators T_i and their inverses
-(i taken mod m), the cyclic operator Pi and its inverse, and the
-commuting family Y_1..Y_m.  All act exactly; T_i for 1 <= i <= m-1 uses
+Generators: Hecke operators T_i and their inverses (i taken mod m), the
+cyclic operator Pi and its inverse, and the commuting family Y_1..Y_m.  All act exactly; T_i for 1 <= i <= m-1 uses
 closed monomial formulas so no polynomial division ever happens, and
 T_0 is the conjugate Pi T_{m-1} Pi^{-1}.
 """
@@ -10,7 +9,7 @@ T_0 is the conjugate Pi T_{m-1} Pi^{-1}.
 from __future__ import annotations
 
 from .qt import QTCoeff, qt_monomial
-from .xring import XPoly, XError, swap_vars
+from .xring import XPoly
 
 _T = qt_monomial(1, 0, 1)          # t
 _TINV = qt_monomial(1, 0, -1)      # t^-1
@@ -27,25 +26,6 @@ def _acc(out, e, c):
         out.pop(e, None)
     else:
         out[e] = s
-
-
-def apply_s(i, f):
-    """The reflection s_i.  For i = 0 mod m this is the affine reflection."""
-    m = f.m
-    i %= m
-    if i:
-        return swap_vars(f, i)
-    # s_0: substitute X_1 -> q X_m, X_m -> q^{-1} X_1, then multiply by
-    # q^{-1} X_1 X_m^{-1}.  On a monomial with exponents a this sends
-    # (a_1, ..., a_m) to (a_m + 1, a_2, ..., a_{m-1}, a_1 - 1) with the
-    # scalar q^{a_1 - a_m - 1}.
-    out = {}
-    for e, c in f.terms.items():
-        a1, am = e[0], e[-1]
-        ep = (am + 1,) + e[1:-1] + (a1 - 1,)
-        qe = a1 - am - 1
-        _acc(out, ep, c if qe == 0 else c * qt_monomial(1, qe, 0))
-    return XPoly._raw(m, out)
 
 
 def _times_tdiff(c, hi, lo):

@@ -86,7 +86,8 @@ def qt_csf(eseq, m):
     Computed as the product of hat-symmetrizers indexed by m-1-a(i),
     applied from the right to the constant t^{n(m-1)}; every step is linear
     over Z[q^±1, t^±1], so the constant rides along instead of scaling the
-    result.
+    result.  A clique larger than m gives an index below 0, whose step is
+    zero.
     """
     eseq = check_eseq(eseq)
     if m < 2:
@@ -95,12 +96,7 @@ def qt_csf(eseq, m):
     a = eseq_to_aseq(eseq)
     f = XPoly(m, {(0,) * m: qt_monomial(1, 0, n * (m - 1))})
     for i in range(n, 0, -1):
-        idx = m - 1 - a[i - 1]
-        if idx < 0:
-            return XPoly.zero(m)
-        f = apply_hatS(idx, f)
-        if f.is_zero():
-            return f
+        f = apply_hatS(m - 1 - a[i - 1], f)
     return f
 
 

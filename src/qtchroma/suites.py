@@ -1,17 +1,19 @@
 """Named verification suites over the whole pipeline.
 
-Each suite runs a family of exact identity checks and returns a
-VerifyReport.  Randomized suites draw from a seeded generator so runs
-are reproducible.
+Each suite is a generator of exact identity checks: it yields one
+(case, None or (expected, actual)) pair per case, and the _suite
+decorator runs it into a VerifyReport.  Randomized suites draw from a
+seeded generator so runs are reproducible.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 
 from .qt import qt_monomial
-from .xring import XPoly, is_symmetric, assert_integral, render_xpoly
+from .xring import XPoly, is_symmetric, assert_integral
 from .hecke import apply_T, apply_pi, apply_Y
 from .symfn import e_poly
 from .graphs import enumerate_eseqs, modular_triples, concat, graph_from_eseq, chromatic_qsf
@@ -55,30 +57,31 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _run(suite, checks):
-    """Run (case_id, thunk) pairs; thunk returns None or (expected, actual)."""
-    start = time.time()
-    failures = []
-    for case, thunk in checks:
-        bad = thunk()
-        if bad is not None:
-            failures.append((case, bad[0], bad[1]))
-    return VerifyReport(suite, len(checks), failures, time.time() - start)
+def _suite(name):
+    """Run a generator suite into a VerifyReport named name."""
+    def decorate(gen):
+        @functools.wraps(gen)
+        def run(*args, **kwargs):
+            start = time.time()
+            cases = 0
+            failures = []
+            for case, bad in gen(*args, **kwargs):
+                cases += 1
+                if bad is not None:
+                    failures.append((case, bad[0], bad[1]))
+            return VerifyReport(name, cases, failures, time.time() - start)
+        return run
+    return decorate
 
 
-def _eq_check(lhs_fn, rhs_fn):
-    def thunk():
-        lhs, rhs = lhs_fn(), rhs_fn()
-        if lhs == rhs:
-            return None
-        return (render_xpoly(rhs), render_xpoly(lhs))
-    return thunk
+def _diff(lhs, rhs):
+    """None if lhs == rhs, else (expected, actual): rhs and lhs as text."""
+    return None if lhs == rhs else (str(rhs), str(lhs))
 
 
-def _bool_check(fn):
-    def thunk():
-        return None if fn() else ("identity holds", "identity fails")
-    return thunk
+def _holds(ok):
+    """None if the identity holds, else the fixed (expected, actual)."""
+    return None if ok else ("identity holds", "identity fails")
 
 
 def _rand_poly(rng, m, deg, nterms=3):
@@ -89,11 +92,11 @@ def _rand_poly(rng, m, deg, nterms=3):
     return XPoly(m, terms)
 
 
+@_suite("relations")
 def suite_relations(m=5, deg_max=4, count=50, seed=0):
     """Operator relation checks on random polynomials, fixed seed, in
     2..m variables."""
     rng = random.Random(seed)
-    checks = []
     t = qt_monomial(1, 0, 1)
     for mm in range(2, m + 1):
         for deg in range(1, deg_max + 1):
@@ -103,161 +106,131 @@ def suite_relations(m=5, deg_max=4, count=50, seed=0):
                 j = rng.randrange(mm)
                 tag = "m=%d deg=%d trial=%d" % (mm, deg, trial)
 
-                checks.append(("quadratic " + tag, _eq_check(
-                    lambda f=f, i=i: apply_T(i, apply_T(i, f)),
-                    lambda f=f, i=i: apply_T(i, f) * (t - 1) + f * t)))
-                checks.append(("rotation " + tag, _eq_check(
-                    lambda f=f, i=i: apply_pi(apply_T(i, f)),
-                    lambda f=f, i=i: apply_T((i + 1) % mm, apply_pi(f)))))
+                yield "quadratic " + tag, _diff(
+                    apply_T(i, apply_T(i, f)), apply_T(i, f) * (t - 1) + f * t)
+                yield "rotation " + tag, _diff(
+                    apply_pi(apply_T(i, f)), apply_T((i + 1) % mm, apply_pi(f)))
 
                 if mm > 2:
                     jj = (i + 1) % mm
-                    checks.append(("braid " + tag, _eq_check(
-                        lambda f=f, i=i, jj=jj: apply_T(i, apply_T(jj, apply_T(i, f))),
-                        lambda f=f, i=i, jj=jj: apply_T(jj, apply_T(i, apply_T(jj, f))))))
+                    yield "braid " + tag, _diff(
+                        apply_T(i, apply_T(jj, apply_T(i, f))),
+                        apply_T(jj, apply_T(i, apply_T(jj, f))))
 
                 if mm > 3 and j not in (i, (i + 1) % mm, (i - 1) % mm):
-                    checks.append(("commutation " + tag, _eq_check(
-                        lambda f=f, i=i, j=j: apply_T(i, apply_T(j, f)),
-                        lambda f=f, i=i, j=j: apply_T(j, apply_T(i, f)))))
+                    yield "commutation " + tag, _diff(
+                        apply_T(i, apply_T(j, f)), apply_T(j, apply_T(i, f)))
 
                 yi = rng.randint(1, mm)
                 yj = rng.randint(1, mm)
-                checks.append(("Y-commutativity " + tag, _eq_check(
-                    lambda f=f, yi=yi, yj=yj: apply_Y(yi, apply_Y(yj, f)),
-                    lambda f=f, yi=yi, yj=yj: apply_Y(yj, apply_Y(yi, f)))))
+                yield "Y-commutativity " + tag, _diff(
+                    apply_Y(yi, apply_Y(yj, f)), apply_Y(yj, apply_Y(yi, f)))
 
                 if trial < 5:
                     ti = rng.randrange(1, mm)
                     # e_2(Y) is central, so it commutes with T_i.
-                    checks.append(("centrality " + tag, _eq_check(
-                        lambda f=f, ti=ti: apply_e_r_Y(2, apply_T(ti, f)),
-                        lambda f=f, ti=ti: apply_T(ti, apply_e_r_Y(2, f)))))
-    return _run("relations", checks)
+                    yield "centrality " + tag, _diff(
+                        apply_e_r_Y(2, apply_T(ti, f)), apply_T(ti, apply_e_r_Y(2, f)))
 
 
+@_suite("modular")
 def suite_modular(n=4, m=5):
     """The three-term linear relation on both computation paths."""
-    checks = []
     t = qt_monomial(1, 0, 1)
     for nn in range(3, n + 1):
         for (e, ep, epp, tag) in modular_triples(nn):
             case = "n=%d %s case %s" % (nn, e, tag)
-
-            checks.append(("operator " + case, _eq_check(
-                lambda e=e: qt_csf(e, m) * (t + 1),
-                lambda ep=ep, epp=epp: qt_csf(ep, m) * t + qt_csf(epp, m))))
-            checks.append(("coloring " + case, _eq_check(
-                lambda e=e, nn=nn: chromatic_qsf(graph_from_eseq(e), nn) * (t + 1),
-                lambda ep=ep, epp=epp, nn=nn: (
-                    chromatic_qsf(graph_from_eseq(ep), nn) * t
-                    + chromatic_qsf(graph_from_eseq(epp), nn)))))
-    return _run("modular", checks)
+            yield "operator " + case, _diff(
+                qt_csf(e, m) * (t + 1), qt_csf(ep, m) * t + qt_csf(epp, m))
+            yield "coloring " + case, _diff(
+                chromatic_qsf(graph_from_eseq(e), nn) * (t + 1),
+                chromatic_qsf(graph_from_eseq(ep), nn) * t
+                + chromatic_qsf(graph_from_eseq(epp), nn))
 
 
+@_suite("stability")
 def suite_stability(n=4, m=6):
-    checks = []
     for e in enumerate_eseqs(n):
         for mp in range(2, m):
-            case = "%s m=%d m'=%d" % (e, m, mp)
-            checks.append((case, _bool_check(lambda e=e, mp=mp: check_stability(e, m, mp))))
-    return _run("stability", checks)
+            yield "%s m=%d m'=%d" % (e, m, mp), _holds(check_stability(e, m, mp))
 
 
+@_suite("symmetry")
 def suite_symmetry(n=5, m=6):
-    checks = []
     for nn in range(1, n + 1):
         for e in enumerate_eseqs(nn):
             for mm in range(2, m + 1):
-                case = "%s m=%d" % (e, mm)
-                checks.append((case, _bool_check(
-                    lambda e=e, mm=mm: is_symmetric(qt_csf(e, mm)))))
-    return _run("symmetry", checks)
+                yield "%s m=%d" % (e, mm), _holds(is_symmetric(qt_csf(e, mm)))
 
 
+@_suite("integrality")
 def suite_integrality(n=5, m=6):
-    checks = []
     for nn in range(1, n + 1):
         for e in enumerate_eseqs(nn):
             for mm in range(2, m + 1):
-                case = "%s m=%d" % (e, mm)
-                checks.append((case, _bool_check(
-                    lambda e=e, mm=mm: assert_integral(qt_csf(e, mm)))))
-    return _run("integrality", checks)
+                yield "%s m=%d" % (e, mm), _holds(assert_integral(qt_csf(e, mm)))
 
 
+@_suite("q1")
 def suite_q1(n=5, m=6):
-    checks = [("%s m=%d" % (e, m), _bool_check(lambda e=e: check_q1_collapse(e, m)))
-              for e in enumerate_eseqs(n)]
-    return _run("q1", checks)
+    for e in enumerate_eseqs(n):
+        yield "%s m=%d" % (e, m), _holds(check_q1_collapse(e, m))
 
 
+@_suite("qinf")
 def suite_qinf(n=5, m=None):
     if m is None:
         m = max(n, 2)
-    checks = [("%s m=%d" % (e, m), _bool_check(lambda e=e: check_qinf_limit(e, m)))
-              for e in enumerate_eseqs(n)]
-    return _run("qinf", checks)
+    for e in enumerate_eseqs(n):
+        yield "%s m=%d" % (e, m), _holds(check_qinf_limit(e, m))
 
 
+@_suite("dist")
 def suite_dist(n=5):
-    checks = []
     for nn in range(1, n + 1):
         for e in enumerate_eseqs(nn):
-            checks.append(("%s" % (e,), _bool_check(lambda e=e: check_dist_identity(e))))
-    return _run("dist", checks)
+            yield "%s" % (e,), _holds(check_dist_identity(e))
 
 
+@_suite("pieri")
 def suite_pieri(r=5):
-    checks = [("r=%d m=%d" % (rr, 2 * rr + 2),
-               _bool_check(lambda rr=rr: check_pieri(rr, 2 * rr + 2)))
-              for rr in range(0, r + 1)]
-    return _run("pieri", checks)
+    for rr in range(0, r + 1):
+        yield "r=%d m=%d" % (rr, 2 * rr + 2), _holds(check_pieri(rr, 2 * rr + 2))
 
 
+@_suite("mult")
 def suite_mult(n=4, m=None):
     if m is None:
         m = 2 * n
-    checks = []
     for n1 in range(1, n):
         for n2 in range(1, n - n1 + 1):
             for e1 in enumerate_eseqs(n1):
                 for e2 in enumerate_eseqs(n2):
-                    case = "%s + %s m=%d" % (e1, e2, m)
-                    checks.append((case, _eq_check(
-                        lambda e1=e1, e2=e2: qt_csf(concat(e1, e2), m),
-                        lambda e1=e1, e2=e2: star(qt_csf(e1, m), qt_csf(e2, m)))))
-    return _run("mult", checks)
+                    yield "%s + %s m=%d" % (e1, e2, m), _diff(
+                        qt_csf(concat(e1, e2), m), star(qt_csf(e1, m), qt_csf(e2, m)))
 
 
+@_suite("qmap")
 def suite_qmap(r=5, m=10):
     """Transported elementaries against the closed form, plus round trips.
 
     Each e_r case checks both routes to e_r(Y) . 1: q_map_e, and the
-    operator e_r(Y) applied to 1.
+    operator e_r(Y) applied to 1.  The round trips run for the graphs
+    with n <= min(4, r, m), each at m' = min(2n, m) >= 2.
     """
-    checks = []
     for mm in range(2, m + 1):
         for rr in range(1, min(r, mm) + 1):
-            case = "e_%d m=%d" % (rr, mm)
-
-            def thunk(rr=rr, mm=mm):
-                rhs = e_poly((rr,), mm) * qt_monomial(1, 0, rr * (rr - 1) // 2)
-                for lhs in (q_map_e((rr,), mm), apply_e_r_Y(rr, XPoly.one(mm))):
-                    if lhs != rhs:
-                        return (render_xpoly(rhs), render_xpoly(lhs))
-                return None
-            checks.append((case, thunk))
-    for nn in range(1, 5):
+            rhs = e_poly((rr,), mm) * qt_monomial(1, 0, rr * (rr - 1) // 2)
+            yield "e_%d m=%d" % (rr, mm), (
+                _diff(q_map_e((rr,), mm), rhs)
+                or _diff(apply_e_r_Y(rr, XPoly.one(mm)), rhs))
+    if m < 2:
+        return
+    for nn in range(1, min(4, r, m) + 1):
+        mm = min(2 * nn, m)
         for e in enumerate_eseqs(nn):
-            case = "round trip %s m=%d" % (e, 2 * nn)
-
-            def rt(e=e, nn=nn):
-                lhs = q_map_inv_sym(qt_csf(e, max(2 * nn, 2)))
-                rhs = c_lambda(e)
-                return None if lhs == rhs else (str(rhs), str(lhs))
-            checks.append((case, rt))
-    return _run("qmap", checks)
+            yield "round trip %s m=%d" % (e, mm), _diff(
+                q_map_inv_sym(qt_csf(e, mm)), c_lambda(e))
 
 
 SUITES = {

@@ -1,14 +1,13 @@
 """Laurent polynomials in X_1..X_m with coefficients in Z[q^±1, t^±1].
 
-The ring carries the index convention X_{i+km} = q^{-k} X_i, so any
-out-of-range variable index folds back into 1..m with a power of q
-(see resolve_index).  Exponent vectors are stored dense (m is small),
-term maps are sparse.
+The ring carries the index convention X_{i+km} = q^{-k} X_i, which the
+cyclic operator Pi follows: X_{m+1} = q^{-1} X_1.  Exponent vectors are
+stored dense (m is small), term maps are sparse.
 """
 
 from __future__ import annotations
 
-from .qt import QTCoeff, ZERO, ONE, from_int, _render_sum
+from .qt import QTCoeff, ONE, from_int, _render_sum
 
 
 class XError(ValueError):
@@ -53,15 +52,6 @@ class XPoly:
     @classmethod
     def one(cls, m):
         return cls._raw(m, {(0,) * m: ONE})
-
-    @classmethod
-    def variable(cls, i, m):
-        """X_i, with i folded into 1..m via the q-twist."""
-        i0, qpow = resolve_index(i, m)
-        exps = [0] * m
-        exps[i0 - 1] = 1
-        c = ONE if qpow == 0 else QTCoeff({(qpow, 0): 1})
-        return cls._raw(m, {tuple(exps): c})
 
     # -- predicates -----------------------------------------------------
 
@@ -175,15 +165,6 @@ class XPoly:
         return cls(obj["m"], terms)
 
 
-def resolve_index(i, m):
-    """Fold a variable index into range: X_i = q^qpow * X_i0 with 1 <= i0 <= m.
-
-    Returns (i0, qpow) where i = i0 + k*m and qpow = -k.
-    """
-    k, i0 = divmod(i - 1, m)
-    return i0 + 1, -k
-
-
 def truncate(f, mp):
     """Set X_i = 0 for mp < i <= f.m; the result lives in mp variables."""
     if not (0 < mp < f.m):
@@ -198,16 +179,6 @@ def truncate(f, mp):
             continue
         out[e[:mp]] = c
     return XPoly._raw(mp, out)
-
-
-def swap_vars(f, i):
-    """Exchange X_i and X_{i+1} (1 <= i <= m-1)."""
-    out = {}
-    for e, c in f.terms.items():
-        if e[i - 1] != e[i]:
-            e = e[:i - 1] + (e[i], e[i - 1]) + e[i + 1:]
-        out[e] = c
-    return XPoly._raw(f.m, out)
 
 
 def is_symmetric(f, n=None):

@@ -91,7 +91,7 @@ def test_expand_matches_compute_at_q1(capsys):
     # the coloring-based expansion agrees with the operator pipeline at q=1
     # up to the coefficient rescaling (checked elsewhere); here we just
     # check the oracle output itself
-    code, out, _ = run(capsys, "expand", "--eseq", "0,0", "--m", "2")
+    code, out, _ = run(capsys, "expand", "--eseq", "0,0")
     assert code == 0
     assert out == "(1+t)*e[2]"
 
@@ -256,8 +256,7 @@ def test_e_basis_needs_as_many_variables_as_vertices(capsys):
     # K_3 in two variables is the zero polynomial, whose e-expansion "0"
     # would not be faithful
     msg = "need at least 3 variables for a faithful degree-3 e-expansion, got m=2"
-    for argv in (("expand", "--eseq", "0,0,0", "--m", "2"),
-                 ("compute", "--eseq", "0,0,0", "--m", "2", "--basis", "e"),
+    for argv in (("compute", "--eseq", "0,0,0", "--m", "2", "--basis", "e"),
                  ("compute", "--eseq", "0,1,1", "--m", "2", "--basis", "e"),
                  ("compute", "--eseq", "0,0,0", "--m", "2", "--basis", "e",
                   "--q1")):
@@ -295,14 +294,13 @@ def test_verify_rejects_flags_its_suite_does_not_take(capsys):
 
 
 def test_expand_zero_variables_is_not_the_default(capsys):
-    code, out, err = run(capsys, "expand", "--eseq", "0,0", "--m", "0")
-    assert code == 2
-    assert out == ""
-    assert err == ("error: need at least 2 variables for a faithful degree-2 "
-                   "e-expansion, got m=0")
-    # with --m left out, m is the number of vertices
-    assert run(capsys, "expand", "--eseq", "0,0")[:2] == \
-        run(capsys, "expand", "--eseq", "0,0", "--m", "2")[:2]
+    # the e-coordinates of the coloring sum do not depend on m, so expand
+    # takes no --m: any value, 0 included, is a usage error
+    for m in ("0", "2"):
+        with pytest.raises(SystemExit) as exc:
+            main(["expand", "--eseq", "0,0", "--m", m])
+        assert exc.value.code == 2
+    assert "unrecognized arguments: --m" in capsys.readouterr().err
 
 
 def test_verify_zero_is_a_size_not_the_default(capsys):
@@ -313,8 +311,7 @@ def test_verify_zero_is_a_size_not_the_default(capsys):
 
 # The least value of each size flag at which its suite runs a case, with
 # the other flags at their least.  One below (the other flags at their
-# defaults) the suite runs no case or raises, and verify exits 2; except
-# that suite_qmap's round trips run at every --r and --m.
+# defaults) the suite runs no case or raises, and verify exits 2.
 LEAST = {
     "relations": {"m": 2, "count": 1},
     "modular": {"n": 3, "m": 2},
@@ -326,7 +323,7 @@ LEAST = {
     "dist": {"n": 1},
     "pieri": {"r": 0},
     "mult": {"n": 2, "m": 2},
-    "qmap": {"r": 0, "m": 1},
+    "qmap": {"r": 1, "m": 2},
 }
 
 
@@ -341,9 +338,6 @@ def test_verify_sizes_at_and_below_their_minimum(capsys, suite):
     assert json.loads(out)["cases"] >= 1
     for flag, least in sizes.items():
         code, out, err = run(capsys, "verify", suite, "--" + flag, str(least - 1))
-        if suite == "qmap":
-            assert code == 0 and "0 failures" in out, flag
-            continue
         assert code == 2, flag
         assert out == ""
         assert err.startswith("error: ")

@@ -1,5 +1,5 @@
-"""Tests for the operator action: reflections, Hecke generators, the
-cyclic shift, and the commuting Y family."""
+"""Tests for the operator action: Hecke generators, the cyclic shift, and
+the commuting Y family."""
 
 import random
 
@@ -7,8 +7,8 @@ import pytest
 
 from qtchroma.qt import qt_monomial, from_int
 from qtchroma.xring import XPoly
-from qtchroma.hecke import (HeckeError, apply_s, apply_T, apply_T_inv,
-                            apply_pi, apply_pi_inv, apply_Y)
+from qtchroma.hecke import (HeckeError, apply_T, apply_T_inv, apply_pi,
+                            apply_pi_inv, apply_Y)
 
 T = qt_monomial(1, 0, 1)
 
@@ -22,36 +22,9 @@ def rand_poly(rng, m, deg=3, nterms=3):
     return XPoly(m, terms)
 
 
-# -- reflections ----------------------------------------------------------
-
-def test_s_finite_swap():
-    x1 = XPoly.variable(1, 3)
-    x2 = XPoly.variable(2, 3)
-    assert apply_s(1, x1) == x2
-    assert apply_s(1, x2) == x1
-    assert apply_s(2, x1) == x1
-
-
-def test_s0_on_monomials():
-    # the affine reflection carries the extra X_1/X_0 twist, so it fixes
-    # X_1 and sends X_m to q^-2 X_1^2 X_m^-1
-    m = 3
-    x1 = XPoly.variable(1, m)
-    x3 = XPoly.variable(3, m)
-    assert apply_s(0, x1) == x1
-    assert apply_s(0, x3) == XPoly(m, {(2, 0, -1): qt_monomial(1, -2, 0)})
-    # the full product of the variables is NOT fixed
-    prod = XPoly(m, {(1, 1, 1): 1})
-    assert apply_s(0, prod) == XPoly(m, {(2, 1, 0): qt_monomial(1, -1, 0)})
-
-
-def test_reflections_are_involutions():
-    rng = random.Random(2)
-    for _ in range(30):
-        m = rng.randint(2, 4)
-        f = rand_poly(rng, m)
-        i = rng.randrange(m)
-        assert apply_s(i, apply_s(i, f)) == f
+def var(i, m):
+    """The variable X_i, 1 <= i <= m."""
+    return XPoly(m, {tuple(int(j == i) for j in range(1, m + 1)): 1})
 
 
 # -- Hecke generators ------------------------------------------------------
@@ -59,8 +32,8 @@ def test_reflections_are_involutions():
 def test_T_frozen_values():
     m = 2
     one = XPoly.one(m)
-    x1 = XPoly.variable(1, m)
-    x2 = XPoly.variable(2, m)
+    x1 = var(1, m)
+    x2 = var(2, m)
     assert apply_T(1, one) == one * T
     assert apply_T(1, x1) == x2
     assert apply_T(1, x2) == x1 * T + x2 * (T - 1)
@@ -126,11 +99,11 @@ def test_distant_generators_commute():
 
 def test_pi_frozen_values():
     m = 3
-    assert apply_pi(XPoly.one(m)) == XPoly.variable(1, m)
+    assert apply_pi(XPoly.one(m)) == var(1, m)
     # the last variable wraps around with a q-twist
-    x3 = XPoly.variable(3, m)
+    x3 = var(3, m)
     assert apply_pi(x3) == XPoly(m, {(2, 0, 0): qt_monomial(1, -1, 0)})
-    assert apply_pi(XPoly.variable(1, m)) == XPoly(m, {(1, 1, 0): 1})
+    assert apply_pi(var(1, m)) == XPoly(m, {(1, 1, 0): 1})
 
 
 def test_pi_inverse():
@@ -173,7 +146,7 @@ def test_pi_power_m_is_scalar_on_homogeneous():
 def test_Y_on_one():
     for m in (2, 3, 4):
         for i in range(1, m + 1):
-            assert apply_Y(i, XPoly.one(m)) == XPoly.variable(i, m)
+            assert apply_Y(i, XPoly.one(m)) == var(i, m)
 
 
 def test_Y_index_range():

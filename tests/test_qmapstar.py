@@ -60,6 +60,11 @@ def _random_coeff(rng):
     return total
 
 
+def var(i, m):
+    """The variable X_i, 1 <= i <= m."""
+    return XPoly(m, {tuple(int(j == i) for j in range(1, m + 1)): 1})
+
+
 def _random_symmetric(rng, d, m, coeff=_random_coeff):
     """A nonzero symmetric homogeneous polynomial of degree d in m variables."""
     while True:
@@ -76,7 +81,7 @@ def test_q_map_constant_and_linear():
     for m in (2, 3, 4):
         assert q_map(e_poly((1,), m)) == e_poly((1,), m)
         for i in range(1, m + 1):
-            assert q_map(XPoly.variable(i, m)) == XPoly.variable(i, m)
+            assert q_map(var(i, m)) == var(i, m)
 
 
 def test_q_map_rejects_laurent_input():
@@ -329,11 +334,11 @@ def test_star_rejects_non_symmetric_or_inhomogeneous_g():
     m = 6
     f = e_poly((1,), m)
     with pytest.raises(QMapError):
-        star(f, XPoly.variable(1, m))                      # not symmetric
+        star(f, var(1, m))                      # not symmetric
     with pytest.raises(QMapError):
         star(f, e_poly((1,), m) + e_poly((2,), m))         # inhomogeneous
     with pytest.raises(QMapError):
-        star(XPoly.variable(1, m), f)                      # f not symmetric
+        star(var(1, m), f)                      # f not symmetric
 
 
 def test_star_multiplicative_on_disjoint_graphs():

@@ -2,6 +2,12 @@
 
 import json
 
+import pytest
+
+from qtchroma import suites
+from qtchroma.qt import qt_monomial
+from qtchroma.xring import XPoly
+from qtchroma.symfn import EExpansion
 from qtchroma.suites import (SUITES, VerifyReport, suite_relations,
                              suite_modular, suite_stability, suite_dist,
                              suite_qmap)
@@ -58,11 +64,17 @@ def test_qmap_suite_small():
     assert rep.ok
 
 
+def test_qmap_round_trips_honour_r_and_m():
+    # graphs with n <= min(4, r, m), each at m' = min(2n, m)
+    rep = suite_qmap(r=2, m=3)
+    assert rep.ok
+    assert rep.cases == 7   # e_1, e_2 at m = 2, 3; (0,) at 2; two n = 2 at 3
+    assert suite_qmap(r=5, m=1).cases == 0
+
+
 def test_qmap_suite_checks_the_y_operator_chain(monkeypatch):
     # each e_r case must reach e_r(Y) . 1 through the Y operators as well as
     # through q_map_e, so a broken operator route fails every e_r case
-    from qtchroma import suites
-    from qtchroma.xring import XPoly
     monkeypatch.setattr(suites, "apply_e_r_Y", lambda r, g: XPoly.zero(g.m))
     rep = suite_qmap(r=2, m=4)
     assert [case for case, _e, _a in rep.failures] == [
@@ -72,11 +84,43 @@ def test_qmap_suite_checks_the_y_operator_chain(monkeypatch):
 def test_equality_checks_report_rhs_as_expected_and_lhs_as_actual(monkeypatch):
     # the suites' equality cases share one route: a failure renders the
     # right-hand side as "expected" and the left-hand side as "actual"
-    from qtchroma import suites
-    from qtchroma.xring import XPoly, render_xpoly
+    from qtchroma.xring import render_xpoly
     from qtchroma.qtcsf import qt_csf
     from qtchroma.graphs import concat
     monkeypatch.setattr(suites, "star", lambda f, g: XPoly.zero(f.m))
     rep = suites.suite_mult(n=2)
     assert rep.failures == [("(0,) + (0,) m=4", "0",
                              render_xpoly(qt_csf(concat((0,), (0,)), 4)))]
+
+
+# For each suite: small sizes, the name in the suites namespace that its
+# cases read, and a wrong stand-in built from the real function.
+MUTANTS = {
+    "relations": ({"m": 3, "deg_max": 1, "count": 2}, "apply_T",
+                  lambda real: lambda i, f: f),
+    "modular": ({"n": 3, "m": 3}, "qt_csf",
+                lambda real: lambda e, m: real(e, m) * qt_monomial(1, 0, sum(e))),
+    "stability": ({"n": 2, "m": 3}, "check_stability",
+                  lambda real: lambda e, m, mp: False),
+    "symmetry": ({"n": 2, "m": 2}, "qt_csf",
+                 lambda real: lambda e, m: XPoly(m, {(1,) + (0,) * (m - 1): 1})),
+    "integrality": ({"n": 2, "m": 2}, "qt_csf",
+                    lambda real: lambda e, m: XPoly(m, {(0,) * m: qt_monomial(1, 1, 0)})),
+    "q1": ({"n": 2, "m": 2}, "check_q1_collapse", lambda real: lambda e, m: False),
+    "qinf": ({"n": 2}, "check_qinf_limit", lambda real: lambda e, m: False),
+    "dist": ({"n": 2}, "check_dist_identity", lambda real: lambda e: False),
+    "pieri": ({"r": 1}, "check_pieri", lambda real: lambda r, m: False),
+    "mult": ({"n": 2}, "star", lambda real: lambda f, g: XPoly.zero(f.m)),
+    "qmap": ({"r": 2, "m": 3}, "c_lambda",
+             lambda real: lambda e: EExpansion(len(e), {})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_every_suite_reports_a_wrong_answer(monkeypatch, name):
+    sizes, attr, wrong = MUTANTS[name]
+    cases = SUITES[name](**sizes).cases
+    monkeypatch.setattr(suites, attr, wrong(getattr(suites, attr)))
+    rep = SUITES[name](**sizes)
+    assert rep.failures
+    assert rep.cases == cases

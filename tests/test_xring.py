@@ -6,9 +6,8 @@ import random
 import pytest
 
 from qtchroma.qt import QTCoeff, ONE, from_int, qt_monomial
-from qtchroma.xring import (XPoly, XError, resolve_index, truncate, swap_vars,
-                            is_symmetric, assert_integral, render_xpoly,
-                            _distinct_perms)
+from qtchroma.xring import (XPoly, XError, truncate, is_symmetric,
+                            assert_integral, render_xpoly, _distinct_perms)
 
 
 def rand_xpoly(rng, m, deg=3, nterms=4):
@@ -31,16 +30,6 @@ def test_constructor_rejects_bad_exponent_length():
         XPoly(3, {(1, 0): 1})
     with pytest.raises(XError):
         XPoly(0)
-
-
-def test_variable_and_resolve_index():
-    assert resolve_index(1, 3) == (1, 0)
-    assert resolve_index(3, 3) == (3, 0)
-    assert resolve_index(4, 3) == (1, -1)   # X_4 = q^-1 X_1
-    assert resolve_index(0, 3) == (3, 1)    # X_0 = q X_3
-    assert resolve_index(-2, 3) == (1, 1)
-    assert XPoly.variable(4, 3) == XPoly(3, {(1, 0, 0): qt_monomial(1, -1, 0)})
-    assert XPoly.variable(0, 3) == XPoly(3, {(0, 0, 1): qt_monomial(1, 1, 0)})
 
 
 def test_ring_axioms_random():
@@ -92,10 +81,8 @@ def test_truncate():
 
 def test_swap_and_symmetry():
     f = XPoly(2, {(1, 0): 1, (0, 1): 1})
-    assert swap_vars(f, 1) == f
     assert is_symmetric(f)
     g = XPoly(2, {(1, 0): 1})
-    assert swap_vars(g, 1) == XPoly(2, {(0, 1): 1})
     assert not is_symmetric(g)
     # symmetric with a nontrivial coefficient pattern
     t = qt_monomial(1, 0, 1)
