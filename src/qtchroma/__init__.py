@@ -9,15 +9,14 @@ from .hecke import (HeckeError, apply_T, apply_T_inv, apply_pi, apply_pi_inv,
                     apply_Y)
 from .symfn import (SymFnError, partitions_of, conjugate, e_poly, e_range,
                     expand_in_e, EExpansion, apply_N, e_stat)
-from .graphs import (GraphError, OrientedGraph, check_eseq, check_aseq,
-                     check_hseq, eseq_to_aseq, aseq_to_eseq, eseq_to_hseq,
-                     hseq_to_eseq, edges_from_aseq, graph_from_eseq, concat,
-                     enumerate_eseqs, modular_triples, chromatic_qsf,
-                     complete_eseq, eseq_of_partition, eseq_weight)
-from .qtcsf import (apply_hatS, qt_csf, check_stability, check_q1_collapse,
-                    c_lambda, check_dist_identity, check_qinf_limit)
+from .graphs import (GraphError, OrientedGraph, check_eseq, eseq_to_aseq,
+                     aseq_to_eseq, eseq_to_hseq, hseq_to_eseq, edges_from_aseq,
+                     graph_from_eseq, concat, enumerate_eseqs, modular_triples,
+                     chromatic_qsf, complete_eseq, eseq_of_partition,
+                     eseq_weight)
+from .qtcsf import apply_hatS, qt_csf, c_lambda
 from .qmapstar import (QMapError, q_map, q_map_e, q_map_inv_sym, star,
-                       qt_elementary, check_pieri, pieri_rhs, apply_e_r_Y)
+                       qt_elementary, apply_e_r_Y)
 from .suites import SUITES, VerifyReport
 
 __version__ = "0.1.0"

@@ -15,7 +15,8 @@ import sys
 from .qt import QTError, specialize_q1, limit_q_infinity
 from .xring import XPoly, XError, render_xpoly
 from .hecke import HeckeError
-from .symfn import SymFnError, e_poly, expand_in_e, _render_terms, _check_faithful
+from .symfn import (SymFnError, e_poly, expand_in_e, _check_faithful,
+                    _check_partition)
 from .graphs import (GraphError, check_eseq, aseq_to_eseq, hseq_to_eseq,
                      eseq_to_aseq, eseq_to_hseq, graph_from_eseq, enumerate_eseqs)
 from .qtcsf import qt_csf, c_lambda
@@ -25,11 +26,6 @@ from .suites import SUITES
 
 class _UsageError(ValueError):
     """A command-line value outside the range its command accepts."""
-
-
-def render_eexp(exp):
-    """Text form with partitions in ascending lexicographic order."""
-    return _render_terms(sorted(exp.coeffs.items()))
 
 
 def _parse_seq(args):
@@ -75,10 +71,7 @@ def parse_symfn(text, m):
         if neg:
             coef = -coef
         lam = tuple(int(x) for x in mt.group(2).split(",")) if mt.group(2) else ()
-        if any(p < 1 for p in lam):
-            raise XError("partition parts must be positive in %r" % chunk)
-        if tuple(sorted(lam, reverse=True)) != lam:
-            raise XError("partition must be weakly decreasing in %r" % chunk)
+        _check_partition(lam)
         _check_faithful(sum(lam), m)
         out = out + e_poly(lam, m) * coef
     return out
@@ -96,7 +89,7 @@ def _emit_eexp(exp, args):
     if args.format == "json":
         print(json.dumps(exp.to_json()))
     else:
-        print(render_eexp(exp))
+        print(exp)
 
 
 def _emit_poly(f, args, degree):
@@ -143,35 +136,32 @@ def cmd_qt_elem(args):
         lam = tuple(int(x) for x in args.partition.split(","))
     except ValueError:
         raise SymFnError("cannot parse partition %r" % args.partition) from None
-    if any(p < 1 for p in lam) or tuple(sorted(lam, reverse=True)) != lam:
-        raise SymFnError("need a weakly decreasing positive partition, got %r"
-                         % args.partition)
+    _check_partition(lam)
     f = qt_elementary(lam, args.m)
     args.basis = args.basis or "e"
     _emit_poly(f, args, sum(lam))
     return 0
 
 
-# The size flags of verify; each suite takes those its signature names.
-_VERIFY_FLAGS = ("n", "m", "r", "count")
+# The flags of verify; each suite takes those its signature names.
+_VERIFY_FLAGS = ("n", "m", "r", "count", "seed")
 
 
 def cmd_verify(args):
     fn = SUITES[args.suite]
     taken = inspect.signature(fn).parameters
-    sizes = {}
+    given = {}
     for flag in _VERIFY_FLAGS:
         value = getattr(args, flag)
         if value is None:
             continue
         if flag not in taken:
             raise _UsageError("verify %s takes no --%s" % (args.suite, flag))
-        sizes[flag] = value
-    seed = {"seed": args.seed} if "seed" in taken else {}
-    report = fn(**sizes, **seed)
+        given[flag] = value
+    report = fn(**given)
     if not report.cases:
         raise _UsageError("verify %s runs no case with %s" % (
-            args.suite, " ".join("--%s %d" % kv for kv in sizes.items())))
+            args.suite, " ".join("--%s %d" % kv for kv in given.items())))
     if args.format == "json":
         print(json.dumps(report.to_json()))
     else:
@@ -206,7 +196,6 @@ def build_parser():
                                 description="Exact two-parameter chromatic "
                                             "symmetric function calculator")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=int, default=0)
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_seq_flags(sp):

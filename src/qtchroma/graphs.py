@@ -42,59 +42,42 @@ def check_eseq(e):
     return e
 
 
-def check_aseq(a):
-    a = tuple(a)
-    n = len(a)
-    if n == 0:
-        raise GraphError("empty sequence")
-    for i in range(1, n + 1):
-        if not 0 <= a[i - 1] < i:
-            raise GraphError("aseq invalid: need 0 <= a(%d) < %d, got %d"
-                             % (i, i, a[i - 1]))
-        if i < n and a[i] > a[i - 1] + 1:
-            raise GraphError("aseq invalid: need a(%d) <= a(%d)+1, got %d > %d"
-                             % (i + 1, i, a[i], a[i - 1] + 1))
-    return a
+def _a_flip(s):
+    """a(i) = i-1-e(i); the map is its own inverse."""
+    return tuple(i - x for i, x in enumerate(s))
 
 
-def check_hseq(h):
-    h = tuple(h)
-    n = len(h)
-    if n == 0:
-        raise GraphError("empty sequence")
-    for i in range(1, n + 1):
-        if h[i - 1] < i:
-            raise GraphError("hseq invalid: need h(%d) >= %d, got %d"
-                             % (i, i, h[i - 1]))
-        if h[i - 1] > n:
-            raise GraphError("hseq invalid: need h(%d) <= %d, got %d"
-                             % (i, n, h[i - 1]))
-        if i < n and h[i - 1] > h[i]:
-            raise GraphError("hseq invalid: need h(%d) <= h(%d), got %d > %d"
-                             % (i, i + 1, h[i - 1], h[i]))
-    return h
+def _h_flip(s):
+    """h(i) = n-e(n+1-i); the map is its own inverse."""
+    n = len(s)
+    return tuple(n - x for x in reversed(s))
+
+
+def _as_eseq(seq, flip, name):
+    """flip(seq) as a checked eseq; an error names the encoding given."""
+    seq = tuple(seq)
+    e = flip(seq)
+    try:
+        return check_eseq(e)
+    except GraphError as exc:
+        raise GraphError("%s invalid: %s maps to eseq %s (%s)"
+                         % (name, seq, e, exc)) from None
 
 
 def eseq_to_aseq(e):
-    e = check_eseq(e)
-    return tuple(i - 1 - e[i - 1] for i in range(1, len(e) + 1))
+    return _a_flip(check_eseq(e))
 
 
 def aseq_to_eseq(a):
-    a = check_aseq(a)
-    return tuple(i - 1 - a[i - 1] for i in range(1, len(a) + 1))
+    return _as_eseq(a, _a_flip, "aseq")
 
 
 def eseq_to_hseq(e):
-    e = check_eseq(e)
-    n = len(e)
-    return tuple(n - e[n - i] for i in range(1, n + 1))
+    return _h_flip(check_eseq(e))
 
 
 def hseq_to_eseq(h):
-    h = check_hseq(h)
-    n = len(h)
-    return tuple(n - h[n - i] for i in range(1, n + 1))
+    return _as_eseq(h, _h_flip, "hseq")
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +117,11 @@ class OrientedGraph:
 
 
 def edges_from_aseq(a):
-    """Vertex i gets edges from i-a(i), ..., i-1."""
-    a = check_aseq(a)
+    return _edges(_a_flip(aseq_to_eseq(a)))
+
+
+def _edges(a):
+    """Vertex i gets edges from i-a(i), ..., i-1; a is a checked aseq."""
     n = len(a)
     edges = set()
     for i in range(1, n + 1):
@@ -145,7 +131,7 @@ def edges_from_aseq(a):
 
 
 def graph_from_eseq(e):
-    return edges_from_aseq(eseq_to_aseq(e))
+    return _edges(eseq_to_aseq(e))
 
 
 def concat(e, ep):

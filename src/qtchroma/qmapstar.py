@@ -28,10 +28,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .qt import ONE, from_int, qt_monomial, t_int, t_factorial
+from .qt import ONE, qt_monomial, t_factorial
 from .xring import XPoly, XError
-from .hecke import apply_Y, apply_T, apply_pi
-from .symfn import EExpansion, SymFnError, partitions_of, e_range, expand_in_e
+from .hecke import apply_Y
+from .symfn import (EExpansion, SymFnError, partitions_of, expand_in_e,
+                    _check_partition)
 from .graphs import eseq_of_partition
 from .qtcsf import qt_csf
 
@@ -105,9 +106,10 @@ def q_map_e(lam, m):
     gives the same image and serves as its test oracle.
     """
     lam = tuple(lam)
-    if any(p < 1 for p in lam) or any(a < b for a, b in zip(lam, lam[1:])):
-        raise QMapError("need a weakly decreasing positive partition, got %r"
-                        % (lam,))
+    try:
+        _check_partition(lam)
+    except SymFnError as exc:
+        raise QMapError(str(exc)) from None
     diag, others = _column(lam)
     return EExpansion(sum(lam), dict(((lam, diag),) + others)).to_xpoly(m)
 
@@ -217,48 +219,3 @@ def qt_elementary(lam, m):
     k = sum(p * (p - 1) // 2 for p in lam)
     return q_map_e(lam, m) * qt_monomial(1, 0, -k)
 
-
-def pieri_rhs(r, m):
-    """Closed form for the quantum product of e_1 with e_r."""
-    one_m_qinv = from_int(1) - qt_monomial(1, -1, 0)
-    qinv = qt_monomial(1, -1, 0)
-    return (e_range(r + 1, 1, m, m) * (one_m_qinv * t_int(r + 1))
-            + e_range(1, 1, m, m) * e_range(r, 1, m, m) * qinv)
-
-
-def check_pieri(r, m):
-    """Verify the rank-one Pieri rule and its partial-sum refinement.
-
-    For each 1 <= a <= m the partial sum of operator words applied to
-    e_r must match the two-sum closed form in split elementary
-    polynomials; a = m recovers the product rule itself.  Needs
-    m >= max(r, 1): with fewer variables e_r is zero and the check is
-    vacuous.
-    """
-    if r < 0:
-        raise QMapError("need r >= 0")
-    if m < max(r, 1):
-        raise QMapError("need m >= %d" % max(r, 1))
-    er = e_range(r, 1, m, m)
-    one_m_qinv = from_int(1) - qt_monomial(1, -1, 0)
-    qinv = qt_monomial(1, -1, 0)
-    # Left side built incrementally: word_a = T_{a-1} ... T_1 Pi . e_r.
-    word = apply_pi(er)
-    total = word
-    for a in range(1, m + 1):
-        rhs = XPoly.zero(m)
-        for k in range(1, a + 1):
-            rhs = rhs + e_range(k, 1, a, m) * e_range(r - k + 1, a + 1, m, m) * t_int(k)
-        rhs = rhs * one_m_qinv
-        inner = XPoly.zero(m)
-        for k in range(0, a + 1):
-            inner = inner + e_range(k, 1, a, m) * e_range(r - k, a + 1, m, m)
-        rhs = rhs + e_range(1, 1, a, m) * inner * qinv
-        if total != rhs:
-            return False
-        if a < m:
-            word = apply_T(a, word)
-            total = total + word
-    if star(e_range(1, 1, m, m), er) != pieri_rhs(r, m):
-        return False
-    return True

@@ -14,13 +14,11 @@ qt_csf; apply_hatS checks it and on other inputs keeps every monomial.
 
 from __future__ import annotations
 
-from .qt import (ZERO, qt_monomial, t_factorial, specialize_q1,
-                 limit_q_infinity, QTError)
-from .xring import XPoly, XError, truncate, is_symmetric, _distinct_perms
+from .qt import qt_monomial
+from .xring import XPoly, XError, is_symmetric, _distinct_perms
 from .hecke import apply_T_inv, apply_pi
-from .symfn import expand_in_e, apply_N, e_stat, e_poly
-from .graphs import (check_eseq, eseq_to_aseq, graph_from_eseq, chromatic_qsf,
-                     eseq_weight)
+from .symfn import expand_in_e
+from .graphs import eseq_to_aseq, graph_from_eseq, chromatic_qsf
 
 
 def apply_hatS(a, f):
@@ -89,74 +87,17 @@ def qt_csf(eseq, m):
     result.  A clique larger than m gives an index below 0, whose step is
     zero.
     """
-    eseq = check_eseq(eseq)
+    a = eseq_to_aseq(eseq)
     if m < 2:
         raise XError("need m >= 2 variables")
-    n = len(eseq)
-    a = eseq_to_aseq(eseq)
+    n = len(a)
     f = XPoly(m, {(0,) * m: qt_monomial(1, 0, n * (m - 1))})
     for i in range(n, 0, -1):
         f = apply_hatS(m - 1 - a[i - 1], f)
     return f
 
 
-def check_stability(eseq, m, mp):
-    """True iff the m-variable result truncates to the m'-variable one."""
-    if not 2 <= mp < m:
-        raise XError("need 2 <= m' < m")
-    return truncate(qt_csf(eseq, m), mp) == qt_csf(eseq, mp)
-
-
-def check_q1_collapse(eseq, m):
-    """At q=1 the operator result must match the twisted coloring oracle."""
-    eseq = check_eseq(eseq)
-    n = len(eseq)
-    if m < n:
-        raise XError("need m >= n for a faithful e-expansion")
-    f = qt_csf(eseq, m)
-    f1 = XPoly(m, {e: specialize_q1(c) for e, c in f.terms.items()})
-    lhs = expand_in_e(f1)
-    oracle = chromatic_qsf(graph_from_eseq(eseq), m)
-    rhs = apply_N(expand_in_e(oracle))
-    return lhs == rhs
-
-
 def c_lambda(eseq):
     """e-basis coefficients of the coloring oracle (evaluated at m = n)."""
-    eseq = check_eseq(eseq)
-    n = len(eseq)
-    return expand_in_e(chromatic_qsf(graph_from_eseq(eseq), n))
-
-
-def check_dist_identity(eseq):
-    """The weighted sum of the c_lam / prod_i [lam_i]_t! must telescope to 1.
-
-    Checked with denominators cleared: sum_lam t^{w - e_stat(lam)} c_lam
-    times the t-multinomial [n]_t! / prod_i [lam_i]_t! must equal [n]_t!.
-    """
-    eseq = check_eseq(eseq)
-    w = eseq_weight(eseq)
-    nfact = t_factorial(len(eseq))
-    total = ZERO
-    for lam, c in c_lambda(eseq).coeffs.items():
-        multinomial = nfact
-        for p in lam:
-            multinomial = multinomial / t_factorial(p)
-        total = total + qt_monomial(1, 0, w - e_stat(lam)) * c * multinomial
-    return total == nfact
-
-
-def check_qinf_limit(eseq, m):
-    """Coefficientwise q -> infinity limit against the closed form."""
-    eseq = check_eseq(eseq)
-    n = len(eseq)
-    if m < n:
-        raise XError("need m >= n")
-    f = qt_csf(eseq, m)
-    try:
-        lim = XPoly(m, {e: limit_q_infinity(c) for e, c in f.terms.items()})
-    except QTError:
-        return False
-    k = n * (n - 1) // 2 - eseq_weight(eseq)
-    want = e_poly((n,), m) * (t_factorial(n) * qt_monomial(1, 0, k))
-    return lim == want
+    g = graph_from_eseq(eseq)
+    return expand_in_e(chromatic_qsf(g, g.n))

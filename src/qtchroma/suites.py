@@ -12,14 +12,15 @@ import functools
 import random
 import time
 
-from .qt import qt_monomial
-from .xring import XPoly, is_symmetric, assert_integral
+from .qt import (ONE, ZERO, QTError, qt_monomial, t_int, t_factorial,
+                 specialize_q1, limit_q_infinity)
+from .xring import XPoly, XError, truncate, is_symmetric, assert_integral
 from .hecke import apply_T, apply_pi, apply_Y
-from .symfn import e_poly
-from .graphs import enumerate_eseqs, modular_triples, concat, graph_from_eseq, chromatic_qsf
-from .qtcsf import (qt_csf, check_stability, check_q1_collapse,
-                    check_dist_identity, check_qinf_limit, c_lambda)
-from .qmapstar import q_map_e, q_map_inv_sym, star, check_pieri, apply_e_r_Y
+from .symfn import e_poly, e_range, expand_in_e, apply_N, e_stat
+from .graphs import (enumerate_eseqs, modular_triples, concat, graph_from_eseq,
+                     chromatic_qsf, eseq_weight)
+from .qtcsf import qt_csf, c_lambda
+from .qmapstar import q_map_e, q_map_inv_sym, star, apply_e_r_Y
 
 
 class VerifyReport:
@@ -150,9 +151,12 @@ def suite_modular(n=4, m=5):
 
 @_suite("stability")
 def suite_stability(n=4, m=6):
-    for e in enumerate_eseqs(n):
+    """Truncating the m-variable result to m' < m variables gives the
+    m'-variable result."""
+    for e in enumerate_eseqs(n) if m > 2 else ():
+        full = qt_csf(e, m)
         for mp in range(2, m):
-            yield "%s m=%d m'=%d" % (e, m, mp), _holds(check_stability(e, m, mp))
+            yield "%s m=%d m'=%d" % (e, m, mp), _diff(truncate(full, mp), qt_csf(e, mp))
 
 
 @_suite("symmetry")
@@ -173,29 +177,100 @@ def suite_integrality(n=5, m=6):
 
 @_suite("q1")
 def suite_q1(n=5, m=6):
+    """At q = 1 the e-coordinates are those of the coloring sum, rescaled
+    by apply_N.  Those do not depend on the number of colours once it is
+    at least n, so the oracle is c_lambda, the sum at n colours."""
+    if m < n:
+        raise XError("need m >= n for a faithful e-expansion")
     for e in enumerate_eseqs(n):
-        yield "%s m=%d" % (e, m), _holds(check_q1_collapse(e, m))
+        f = qt_csf(e, m)
+        f1 = XPoly(m, {x: specialize_q1(c) for x, c in f.terms.items()})
+        yield "%s m=%d" % (e, m), _diff(expand_in_e(f1), apply_N(c_lambda(e)))
 
 
 @_suite("qinf")
 def suite_qinf(n=5, m=None):
+    """Coefficientwise q -> infinity limit against the closed form
+    [n]_t! t^k e_n, where k counts the edges."""
     if m is None:
         m = max(n, 2)
+    if m < n:
+        raise XError("need m >= n")
     for e in enumerate_eseqs(n):
-        yield "%s m=%d" % (e, m), _holds(check_qinf_limit(e, m))
+        k = n * (n - 1) // 2 - eseq_weight(e)
+        want = e_poly((n,), m) * (t_factorial(n) * qt_monomial(1, 0, k))
+        f = qt_csf(e, m)
+        case = "%s m=%d" % (e, m)
+        try:
+            lim = XPoly(m, {x: limit_q_infinity(c) for x, c in f.terms.items()})
+        except QTError as exc:
+            yield case, (str(want), "%s: %s" % (exc, f))
+            continue
+        yield case, _diff(lim, want)
 
 
 @_suite("dist")
 def suite_dist(n=5):
+    """The weighted sum of the c_lam / prod_i [lam_i]_t! telescopes to 1.
+
+    Checked with denominators cleared: sum_lam t^{w - e_stat(lam)} c_lam
+    times the t-multinomial [n]_t! / prod_i [lam_i]_t! must equal [n]_t!.
+    """
     for nn in range(1, n + 1):
+        nfact = t_factorial(nn)
         for e in enumerate_eseqs(nn):
-            yield "%s" % (e,), _holds(check_dist_identity(e))
+            w = eseq_weight(e)
+            total = ZERO
+            for lam, c in c_lambda(e).coeffs.items():
+                multinomial = nfact
+                for p in lam:
+                    multinomial = multinomial / t_factorial(p)
+                total = total + qt_monomial(1, 0, w - e_stat(lam)) * c * multinomial
+            yield "%s" % (e,), _diff(total, nfact)
+
+
+def _pieri_sides(r, m):
+    """The sides (what, lhs, rhs) of the rank-one Pieri rule at m variables.
+
+    For each 1 <= a <= m the partial sum of the operator words
+    T_{a-1}...T_1 Pi applied to e_r, against its two-sum closed form in
+    split elementary polynomials; then star(e_1, e_r), the sum at a = m,
+    against its closed form.  Needs m >= max(r, 1): with fewer variables
+    e_r is zero and every side vanishes.
+    """
+    er = e_range(r, 1, m, m)
+    qinv = qt_monomial(1, -1, 0)
+    one_m_qinv = ONE - qinv
+    word = apply_pi(er)
+    total = word
+    for a in range(1, m + 1):
+        rhs = XPoly.zero(m)
+        for k in range(1, a + 1):
+            rhs = rhs + e_range(k, 1, a, m) * e_range(r - k + 1, a + 1, m, m) * t_int(k)
+        rhs = rhs * one_m_qinv
+        inner = XPoly.zero(m)
+        for k in range(0, a + 1):
+            inner = inner + e_range(k, 1, a, m) * e_range(r - k, a + 1, m, m)
+        yield "partial sum a=%d" % a, total, rhs + e_range(1, 1, a, m) * inner * qinv
+        if a < m:
+            word = apply_T(a, word)
+            total = total + word
+    e1 = e_range(1, 1, m, m)
+    yield ("star(e_1, e_r)", star(e1, er),
+           e_range(r + 1, 1, m, m) * (one_m_qinv * t_int(r + 1)) + e1 * er * qinv)
 
 
 @_suite("pieri")
 def suite_pieri(r=5):
     for rr in range(0, r + 1):
-        yield "r=%d m=%d" % (rr, 2 * rr + 2), _holds(check_pieri(rr, 2 * rr + 2))
+        m = 2 * rr + 2
+        case, bad = "r=%d m=%d" % (rr, m), None
+        for what, lhs, rhs in _pieri_sides(rr, m):
+            bad = _diff(lhs, rhs)
+            if bad:
+                case += " " + what
+                break
+        yield case, bad
 
 
 @_suite("mult")

@@ -132,7 +132,9 @@ class EExpansion:
         return XPoly._raw(m, out)
 
     def __str__(self):
-        return _render_terms(self.items())
+        """Text form with partitions in ascending lexicographic order."""
+        return _render_sum((c, "e[%s]" % ",".join(str(p) for p in lam))
+                           for lam, c in sorted(self.coeffs.items()))
 
     def __repr__(self):
         return "EExpansion(n=%d, %s)" % (self.n, self)
@@ -149,12 +151,6 @@ class EExpansion:
         coeffs = {tuple(it["partition"]): QTCoeff.from_json(it["coeff"])
                   for it in obj["coeffs"]}
         return cls(obj["n"], coeffs)
-
-
-def _render_terms(pairs):
-    """Text form of (partition, coefficient) pairs, in the order given."""
-    return _render_sum((c, "e[%s]" % ",".join(str(p) for p in lam))
-                       for lam, c in pairs)
 
 
 def _zero_one_count(rows, cols, memo):
@@ -204,6 +200,14 @@ def _e_table(n):
                 entries.append((lam, k))
         table.append((nu, conjugate(nu), tuple(entries)))
     return tuple(table)
+
+
+def _check_partition(lam):
+    """Raise unless lam is a weakly decreasing tuple of positive parts."""
+    if any(p < 1 for p in lam):
+        raise SymFnError("partition parts must be positive, got %r" % (lam,))
+    if any(a < b for a, b in zip(lam, lam[1:])):
+        raise SymFnError("partition must be weakly decreasing, got %r" % (lam,))
 
 
 def _check_faithful(n, m):

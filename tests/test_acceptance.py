@@ -12,11 +12,10 @@ from qtchroma.xring import XPoly, is_symmetric, assert_integral, truncate
 from qtchroma.symfn import partitions_of, e_poly, e_range
 from qtchroma.graphs import (enumerate_eseqs, modular_triples, concat,
                              complete_eseq, graph_from_eseq, chromatic_qsf)
-from qtchroma.qtcsf import (qt_csf, check_q1_collapse, check_dist_identity,
-                            check_qinf_limit, c_lambda)
-from qtchroma.qmapstar import (q_map_e, q_map_inv_sym, star, qt_elementary,
-                               check_pieri, apply_e_r_Y)
-from qtchroma.suites import suite_relations
+from qtchroma.qtcsf import qt_csf, c_lambda
+from qtchroma.qmapstar import q_map_e, q_map_inv_sym, star, qt_elementary, apply_e_r_Y
+from qtchroma.suites import (suite_relations, suite_q1, suite_pieri, suite_qinf,
+                             suite_dist)
 
 T = qt_monomial(1, 0, 1)
 
@@ -66,10 +65,9 @@ def test_02_complete_graphs():
 
 def test_03_q1_collapse():
     with budget("03 q1-collapse", 300):
-        graphs = enumerate_eseqs(5)
-        assert len(graphs) == 42
-        for e in graphs:
-            assert check_q1_collapse(e, 6), e
+        report = suite_q1(n=5, m=6)
+        assert report.ok, report.render()
+        assert report.cases == 42
 
 
 def test_04_stability():
@@ -106,8 +104,9 @@ def test_06_modular_law():
 
 def test_07_product_rule():
     with budget("07 product-rule", 120):
-        for r in range(0, 6):
-            assert check_pieri(r, 2 * r + 2), r
+        report = suite_pieri(r=5)     # r = 0..5, each at m = 2r + 2
+        assert report.ok, report.render()
+        assert report.cases == 6
 
 
 def test_08_transported_elementaries():
@@ -130,9 +129,12 @@ def test_09_coefficient_round_trip():
 def test_10_limits_and_distribution():
     with budget("10 limits-distribution", 300):
         for n in range(1, 6):
-            for e in enumerate_eseqs(n):
-                assert check_qinf_limit(e, max(n, 2)), e
-                assert check_dist_identity(e), e
+            report = suite_qinf(n=n)      # at m = max(n, 2)
+            assert report.ok, report.render()
+            assert report.cases == len(enumerate_eseqs(n))
+        report = suite_dist(n=5)          # every graph with n <= 5
+        assert report.ok, report.render()
+        assert report.cases == 64
         for n in range(1, 5):
             m = 2 * n
             for lam in partitions_of(n):

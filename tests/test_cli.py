@@ -4,11 +4,11 @@ import json
 
 import pytest
 
-from qtchroma.cli import main, parse_symfn, render_eexp
+from qtchroma.cli import main, parse_symfn
 from qtchroma.qmapstar import star, qt_elementary
 from qtchroma.qt import qt_monomial, from_int
 from qtchroma.xring import XPoly
-from qtchroma.symfn import EExpansion, e_poly
+from qtchroma.symfn import EExpansion, SymFnError, e_poly
 
 
 def run(capsys, *argv):
@@ -179,7 +179,9 @@ def test_qt_elem_cli(capsys):
     assert code == 0
     assert out == "e[2]"
     code, _, err = run(capsys, "qt-elem", "--partition", "1,2", "--m", "6")
-    assert code == 2 and "decreasing" in err
+    assert code == 2 and "weakly decreasing" in err
+    code, _, err = run(capsys, "qt-elem", "--partition", "2,0", "--m", "6")
+    assert code == 2 and "positive" in err
 
 
 def test_verify_ok(capsys):
@@ -202,6 +204,19 @@ def test_verify_relations_small(capsys):
                        "--count", "3")
     assert code == 0
     assert "0 failures" in out
+
+
+def test_seed_is_a_flag_of_verify(capsys):
+    code, out, _ = run(capsys, "--format", "json", "verify", "relations",
+                       "--seed", "1", "--count", "1")
+    assert code == 0
+    assert json.loads(out)["cases"] > 0
+    code, out, err = run(capsys, "verify", "dist", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: verify dist takes no --seed"
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "1", "compute", "--eseq", "0", "--m", "2"])
+    assert exc.value.code == 2
 
 
 def test_list_graphs(capsys):
@@ -234,20 +249,23 @@ def test_parse_symfn_errors():
     from qtchroma.xring import XError
     with pytest.raises(XError):
         parse_symfn("", 3)
-    with pytest.raises(XError):
+    with pytest.raises(SymFnError, match="weakly decreasing"):
         parse_symfn("e[1,2]", 3)
     with pytest.raises(XError):
         parse_symfn("x[1]", 3)
-    with pytest.raises(XError):
+    with pytest.raises(SymFnError, match="positive"):
         parse_symfn("e[0]", 3)
 
 
-def test_render_eexp_order():
+def test_render_eexp_order(capsys):
+    # the text form lists partitions in ascending lexicographic order,
+    # and is the one EExpansion prints
     t = qt_monomial(1, 0, 1)
     exp = EExpansion(3, {(3,): t, (2, 1): from_int(1)})
-    # text form lists partitions in ascending lexicographic order
-    assert render_eexp(exp) == "e[2,1] + t*e[3]"
-    assert render_eexp(EExpansion(0, {})) == "0"
+    assert str(exp) == "e[2,1] + t*e[3]"
+    assert str(EExpansion(0, {})) == "0"
+    code, out, _ = run(capsys, "expand", "--eseq", "0,0,1")
+    assert (code, out) == (0, "t*e[2,1] + (1+t+t^2)*e[3]")
 
 
 # -- e-basis faithfulness and verify sizes -----------------------------------

@@ -20,8 +20,9 @@ if __name__ == "__main__":
     sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
 from qtchroma.graphs import enumerate_eseqs
-from qtchroma.qtcsf import qt_csf, check_q1_collapse
+from qtchroma.qtcsf import qt_csf
 from qtchroma.symfn import expand_in_e
+from qtchroma.suites import suite_q1
 from test_qtcsf import qt_csf_via_s
 
 PATH = os.path.join(HERE, "data", "golden_e.json")
@@ -51,10 +52,11 @@ def regenerate():
     rows = []
     for n in range(1, MAX_N + 1):
         m = max(n, 2)
+        report = suite_q1(n=n, m=m)
+        if not report.ok:
+            raise SystemExit(report.render())
         for e in enumerate_eseqs(n):
             exp = expansion(e)
-            if not check_q1_collapse(e, m):
-                raise SystemExit("q = 1 collapse fails for %s" % (e,))
             if n <= VIA_S_MAX_N and expand_in_e(qt_csf_via_s(e, m)) != exp:
                 raise SystemExit("the two factorizations differ for %s" % (e,))
             rows.append({"eseq": list(e), "e": exp.to_json()})

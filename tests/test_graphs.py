@@ -1,12 +1,14 @@
 """Tests for graph encodings, triples, and the coloring oracle."""
 
+import itertools
+
 import pytest
 
 from qtchroma.qt import ONE, qt_monomial, t_int, t_factorial
 from qtchroma.xring import XPoly, is_symmetric
 from qtchroma.symfn import expand_in_e, EExpansion, e_poly
-from qtchroma.graphs import (GraphError, OrientedGraph, check_eseq, check_aseq,
-                             check_hseq, eseq_to_aseq, aseq_to_eseq,
+from qtchroma.graphs import (GraphError, OrientedGraph, check_eseq,
+                             eseq_to_aseq, aseq_to_eseq,
                              eseq_to_hseq, hseq_to_eseq, edges_from_aseq,
                              graph_from_eseq, concat, enumerate_eseqs,
                              modular_triples, chromatic_qsf, complete_eseq,
@@ -28,21 +30,52 @@ def test_check_eseq():
 
 
 def test_check_aseq():
-    assert check_aseq([0, 1, 2]) == (0, 1, 2)
-    with pytest.raises(GraphError):
-        check_aseq([0, 0, 2])    # jumps by more than one
-    with pytest.raises(GraphError):
-        check_aseq([0, 2])
+    assert aseq_to_eseq([0, 1, 2]) == (0, 0, 0)
+    with pytest.raises(GraphError, match=r"^aseq invalid: \(0, 0, 2\) maps to"):
+        aseq_to_eseq([0, 0, 2])    # jumps by more than one
+    with pytest.raises(GraphError, match="^aseq invalid"):
+        aseq_to_eseq([0, 2])
+    with pytest.raises(GraphError, match="^aseq invalid"):
+        edges_from_aseq([0, 0, 2])
 
 
 def test_check_hseq():
-    assert check_hseq([2, 3, 3]) == (2, 3, 3)
-    with pytest.raises(GraphError):
-        check_hseq([1, 1, 3])    # h(2) >= 2 fails
-    with pytest.raises(GraphError):
-        check_hseq([3, 2, 3])    # not nondecreasing
-    with pytest.raises(GraphError):
-        check_hseq([2, 3, 4])    # exceeds n
+    assert hseq_to_eseq([2, 3, 3]) == (0, 0, 1)
+    with pytest.raises(GraphError, match="^hseq invalid"):
+        hseq_to_eseq([1, 1, 3])    # h(2) >= 2 fails
+    with pytest.raises(GraphError, match="^hseq invalid"):
+        hseq_to_eseq([3, 2, 3])    # not nondecreasing
+    with pytest.raises(GraphError, match="^hseq invalid"):
+        hseq_to_eseq([2, 3, 4])    # exceeds n
+
+
+def _is_aseq(a):
+    n = len(a)
+    return n > 0 and all(0 <= a[i] <= i for i in range(n)) and all(
+        a[i + 1] <= a[i] + 1 for i in range(n - 1))
+
+
+def _is_hseq(h):
+    n = len(h)
+    return n > 0 and all(i + 1 <= h[i] <= n for i in range(n)) and all(
+        h[i] <= h[i + 1] for i in range(n - 1))
+
+
+def _accepts(convert, seq):
+    try:
+        convert(seq)
+    except GraphError:
+        return False
+    return True
+
+
+def test_encodings_are_checked_as_eseqs():
+    # each encoding is valid exactly when its eseq is, over every tuple
+    # with entries in -1..n+1 for n <= 5
+    for n in range(1, 6):
+        for seq in itertools.product(range(-1, n + 2), repeat=n):
+            assert _accepts(aseq_to_eseq, seq) == _is_aseq(seq), seq
+            assert _accepts(hseq_to_eseq, seq) == _is_hseq(seq), seq
 
 
 def test_conversions_round_trip():

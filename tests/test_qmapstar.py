@@ -12,8 +12,8 @@ from qtchroma.graphs import enumerate_eseqs, concat, eseq_of_partition
 from qtchroma.qtcsf import qt_csf, c_lambda
 from qtchroma import qmapstar
 from qtchroma.qmapstar import (QMapError, q_map, q_map_e, q_map_inv_sym, star,
-                               qt_elementary, apply_e_r_Y, pieri_rhs,
-                               check_pieri)
+                               qt_elementary, apply_e_r_Y)
+from qtchroma.suites import suite_pieri, _pieri_sides
 
 T = qt_monomial(1, 0, 1)
 
@@ -355,27 +355,26 @@ def test_star_multiplicative_on_disjoint_graphs():
 
 
 def test_pieri_rule():
+    # e_1 * e_r = (1 - q^{-1}) [r+1]_t e_{r+1} + q^{-1} e_1 e_r
+    qinv = qt_monomial(1, -1, 0)
     for r in (0, 1, 2):
         m = 2 * r + 2
-        assert star(e_range(1, 1, m, m), e_range(r, 1, m, m)) == pieri_rhs(r, m)
-        assert check_pieri(r, m)
+        e1, er = e_range(1, 1, m, m), e_range(r, 1, m, m)
+        want = (e_range(r + 1, 1, m, m) * ((from_int(1) - qinv) * t_int(r + 1))
+                + e1 * er * qinv)
+        assert star(e1, er) == want, r
+    report = suite_pieri(r=2)
+    assert report.ok, report.render()
+    assert report.cases == 3
 
 
 def test_pieri_rule_from_the_faithfulness_bound():
     # every m from max(r, 1), where e_r stops vanishing, to 2r + 1, below
-    # the old m >= 2(r + 1) guard
+    # the m = 2r + 2 that suite_pieri runs
     for r in range(6):
         for m in range(max(r, 1), 2 * r + 2):
-            assert check_pieri(r, m), (r, m)
-
-
-def test_pieri_preconditions():
-    with pytest.raises(QMapError):
-        check_pieri(-1, 4)
-    with pytest.raises(QMapError, match="need m >= 3"):
-        check_pieri(3, 2)
-    with pytest.raises(QMapError, match="need m >= 1"):
-        check_pieri(0, 0)
+            for what, lhs, rhs in _pieri_sides(r, m):
+                assert lhs == rhs, (r, m, what)
 
 
 def test_qt_elementary_single_part():

@@ -9,12 +9,11 @@ from qtchroma.qt import (ONE, from_int, qt_monomial, t_int, t_factorial,
                          specialize_q1)
 from qtchroma.xring import XPoly, XError, is_symmetric, assert_integral, truncate
 from qtchroma.hecke import apply_T, apply_T_inv, apply_pi
-from qtchroma.symfn import e_range, e_poly, expand_in_e, EExpansion
+from qtchroma.symfn import e_range, e_poly, expand_in_e, EExpansion, apply_N
 from qtchroma.graphs import (enumerate_eseqs, modular_triples, complete_eseq,
                              graph_from_eseq, chromatic_qsf, check_eseq)
-from qtchroma.qtcsf import (apply_hatS, qt_csf, check_stability,
-                            check_q1_collapse, c_lambda, check_dist_identity,
-                            check_qinf_limit)
+from qtchroma.qtcsf import apply_hatS, qt_csf, c_lambda
+from qtchroma.suites import suite_q1, suite_qinf, suite_dist
 
 T = qt_monomial(1, 0, 1)
 QINV = qt_monomial(1, -1, 0)
@@ -226,15 +225,22 @@ def test_qt_csf_symmetric_and_integral():
 
 def test_stability():
     for e in enumerate_eseqs(3):
-        assert check_stability(e, 5, 3)
-        assert check_stability(e, 4, 2)
+        assert truncate(qt_csf(e, 5), 3) == qt_csf(e, 3)
+        assert truncate(qt_csf(e, 4), 2) == qt_csf(e, 2)
     with pytest.raises(XError):
-        check_stability((0,), 3, 3)
+        truncate(qt_csf((0,), 3), 3)
 
 
 def test_q1_collapse():
+    # at q = 1 the e-coordinates are the twisted coloring sum's at any
+    # m >= n colours; suite_q1 reads them from c_lambda, at n colours
     for e in enumerate_eseqs(3):
-        assert check_q1_collapse(e, 4)
+        for m in (3, 4):
+            f = qt_csf(e, m)
+            f1 = XPoly(m, {x: specialize_q1(c) for x, c in f.terms.items()})
+            oracle = expand_in_e(chromatic_qsf(graph_from_eseq(e), m))
+            assert expand_in_e(f1) == apply_N(oracle) == apply_N(c_lambda(e)), e
+    assert suite_q1(n=3, m=4).ok
 
 
 def test_c_lambda_values():
@@ -245,15 +251,16 @@ def test_c_lambda_values():
 
 
 def test_dist_identity():
-    for n in (1, 2, 3, 4):
-        for e in enumerate_eseqs(n):
-            assert check_dist_identity(e)
+    rep = suite_dist(n=4)
+    assert rep.ok, rep.render()
+    assert rep.cases == 1 + 2 + 5 + 14
 
 
 def test_qinf_limit():
     for n in (1, 2, 3):
-        for e in enumerate_eseqs(n):
-            assert check_qinf_limit(e, max(n, 2))
+        rep = suite_qinf(n=n)
+        assert rep.ok, rep.render()
+        assert rep.cases == len(enumerate_eseqs(n))
 
 
 def test_modular_law_small():

@@ -100,16 +100,20 @@ MUTANTS = {
                   lambda real: lambda i, f: f),
     "modular": ({"n": 3, "m": 3}, "qt_csf",
                 lambda real: lambda e, m: real(e, m) * qt_monomial(1, 0, sum(e))),
-    "stability": ({"n": 2, "m": 3}, "check_stability",
-                  lambda real: lambda e, m, mp: False),
+    "stability": ({"n": 2, "m": 3}, "qt_csf",
+                  lambda real: lambda e, m: real(e, m) * qt_monomial(1, 0, m)),
     "symmetry": ({"n": 2, "m": 2}, "qt_csf",
                  lambda real: lambda e, m: XPoly(m, {(1,) + (0,) * (m - 1): 1})),
     "integrality": ({"n": 2, "m": 2}, "qt_csf",
                     lambda real: lambda e, m: XPoly(m, {(0,) * m: qt_monomial(1, 1, 0)})),
-    "q1": ({"n": 2, "m": 2}, "check_q1_collapse", lambda real: lambda e, m: False),
-    "qinf": ({"n": 2}, "check_qinf_limit", lambda real: lambda e, m: False),
-    "dist": ({"n": 2}, "check_dist_identity", lambda real: lambda e: False),
-    "pieri": ({"r": 1}, "check_pieri", lambda real: lambda r, m: False),
+    "q1": ({"n": 2, "m": 2}, "c_lambda",
+           lambda real: lambda e: EExpansion(len(e), {lam: c * qt_monomial(1, 0, 1)
+                                                      for lam, c in real(e).coeffs.items()})),
+    "qinf": ({"n": 2}, "qt_csf",
+             lambda real: lambda e, m: real(e, m) * qt_monomial(1, 1, 0)),
+    "dist": ({"n": 2}, "t_factorial",
+             lambda real: lambda n: real(n) * qt_monomial(1, 0, 1)),
+    "pieri": ({"r": 1}, "apply_pi", lambda real: lambda f: f),
     "mult": ({"n": 2}, "star", lambda real: lambda f, g: XPoly.zero(f.m)),
     "qmap": ({"r": 2, "m": 3}, "c_lambda",
              lambda real: lambda e: EExpansion(len(e), {})),
@@ -124,3 +128,21 @@ def test_every_suite_reports_a_wrong_answer(monkeypatch, name):
     rep = SUITES[name](**sizes)
     assert rep.failures
     assert rep.cases == cases
+    if name not in ("symmetry", "integrality"):
+        # an equality case shows the two values, not a bare verdict
+        assert all((e, a) != ("identity holds", "identity fails")
+                   for _c, e, a in rep.failures)
+
+
+def test_q1_failure_shows_both_e_expansions(monkeypatch):
+    # the oracle is the twisted coloring sum c_lambda: a wrong one shows
+    # as the expected e-expansion, next to the operator side as actual
+    from qtchroma.symfn import apply_N
+    wrong = EExpansion(2, {(1, 1): qt_monomial(1, 0, 0)})
+    monkeypatch.setattr(suites, "c_lambda", lambda e: wrong)
+    rep = suites.suite_q1(n=2, m=2)
+    assert [case for case, _e, _a in rep.failures] == ["(0, 0) m=2"]
+    case, expected, actual = rep.failures[0]
+    assert expected == str(apply_N(wrong)) == "e[1,1]"
+    assert actual == "(t+t^2)*e[2]"
+    assert "expected: e[1,1]" in rep.render()

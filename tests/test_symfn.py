@@ -253,7 +253,8 @@ def test_eexpansion_items_order():
 def test_eexpansion_str():
     t = qt_monomial(1, 0, 1)
     e = EExpansion(3, {(3,): t, (2, 1): -1})
-    assert str(e) == "t*e[3] - e[2,1]"
+    # ascending lex order, the CLI's; to_json keeps reverse-lex
+    assert str(e) == "-e[2,1] + t*e[3]"
     assert str(EExpansion(0, {})) == "0"
 
 
