@@ -10,7 +10,7 @@ from .hecke import (HeckeError, apply_T, apply_T_inv, apply_pi, apply_pi_inv,
 from .symfn import (SymFnError, partitions_of, conjugate, e_poly, e_range,
                     expand_in_e, EExpansion, apply_N, e_stat)
 from .graphs import (GraphError, OrientedGraph, check_eseq, eseq_to_aseq,
-                     aseq_to_eseq, eseq_to_hseq, hseq_to_eseq, edges_from_aseq,
+                     aseq_to_eseq, eseq_to_hseq, hseq_to_eseq,
                      graph_from_eseq, concat, enumerate_eseqs, modular_triples,
                      chromatic_qsf, complete_eseq, eseq_of_partition,
                      eseq_weight)

@@ -125,7 +125,6 @@ def cmd_star(args):
     f = parse_symfn(args.f, args.m)
     g = parse_symfn(args.g, args.m)
     h = star(f, g)
-    args.basis = args.basis or "e"
     # a zero input is the zero function (parse_symfn), and so is h
     _emit_poly(h, args, (f.degree() or 0) + (g.degree() or 0))
     return 0
@@ -138,7 +137,6 @@ def cmd_qt_elem(args):
         raise SymFnError("cannot parse partition %r" % args.partition) from None
     _check_partition(lam)
     f = qt_elementary(lam, args.m)
-    args.basis = args.basis or "e"
     _emit_poly(f, args, sum(lam))
     return 0
 
@@ -220,13 +218,13 @@ def build_parser():
     sp.add_argument("--f", required=True)
     sp.add_argument("--g", required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--basis", choices=("monomial", "e"), default=None)
+    sp.add_argument("--basis", choices=("monomial", "e"), default="e")
     sp.set_defaults(func=cmd_star)
 
     sp = sub.add_parser("qt-elem", help="iterated quantum elementary product")
     sp.add_argument("--partition", required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--basis", choices=("monomial", "e"), default=None)
+    sp.add_argument("--basis", choices=("monomial", "e"), default="e")
     sp.set_defaults(func=cmd_qt_elem)
 
     sp = sub.add_parser("verify", help="run an identity suite")

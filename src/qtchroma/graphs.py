@@ -98,26 +98,8 @@ class OrientedGraph:
             if not (1 <= v <= n and 1 <= w <= n):
                 raise GraphError("edge (%d,%d) out of range 1..%d" % (v, w, n))
 
-    def __eq__(self, other):
-        return (isinstance(other, OrientedGraph)
-                and self.n == other.n and self.edges == other.edges)
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
-
     def __repr__(self):
         return "OrientedGraph(n=%d, edges=%s)" % (self.n, sorted(self.edges))
-
-    def to_json(self):
-        return {"n": self.n, "edges": [list(e) for e in sorted(self.edges)]}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["n"], [tuple(e) for e in obj["edges"]])
-
-
-def edges_from_aseq(a):
-    return _edges(_a_flip(aseq_to_eseq(a)))
 
 
 def _edges(a):

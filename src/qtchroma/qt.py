@@ -66,9 +66,6 @@ class QTCoeff:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
@@ -206,13 +203,6 @@ class QTCoeff:
             "num": [[v, qe, te] for (qe, te), v in sorted(self.terms.items())],
             "den": [[1, 0, 0]],
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        """Read to_json output; QTError for a fraction outside the ring."""
-        num = {(qe, te): v for v, qe, te in obj["num"]}
-        den = {(qe, te): v for v, qe, te in obj["den"]}
-        return cls(num, den)
 
 
 def from_int(n):

@@ -14,7 +14,7 @@ import time
 
 from .qt import (ONE, ZERO, QTError, qt_monomial, t_int, t_factorial,
                  specialize_q1, limit_q_infinity)
-from .xring import XPoly, XError, truncate, is_symmetric, assert_integral
+from .xring import XPoly, XError, truncate, _asymmetry, _positive_q_power
 from .hecke import apply_T, apply_pi, apply_Y
 from .symfn import e_poly, e_range, expand_in_e, apply_N, e_stat
 from .graphs import (enumerate_eseqs, modular_triples, concat, graph_from_eseq,
@@ -80,9 +80,11 @@ def _diff(lhs, rhs):
     return None if lhs == rhs else (str(rhs), str(lhs))
 
 
-def _holds(ok):
-    """None if the identity holds, else the fixed (expected, actual)."""
-    return None if ok else ("identity holds", "identity fails")
+def _witness(find, f, expected, fault):
+    """None if find(f) is None, else (expected, fault % the term there)."""
+    x = find(f)
+    return None if x is None else (
+        expected, fault % XPoly(f.m, {x: f.terms[x]}))
 
 
 def _rand_poly(rng, m, deg, nterms=3):
@@ -164,7 +166,9 @@ def suite_symmetry(n=5, m=6):
     for nn in range(1, n + 1):
         for e in enumerate_eseqs(nn):
             for mm in range(2, m + 1):
-                yield "%s m=%d" % (e, mm), _holds(is_symmetric(qt_csf(e, mm)))
+                yield "%s m=%d" % (e, mm), _witness(
+                    _asymmetry, qt_csf(e, mm), "symmetric",
+                    "the term %s differs from a transposed partner")
 
 
 @_suite("integrality")
@@ -172,7 +176,9 @@ def suite_integrality(n=5, m=6):
     for nn in range(1, n + 1):
         for e in enumerate_eseqs(nn):
             for mm in range(2, m + 1):
-                yield "%s m=%d" % (e, mm), _holds(assert_integral(qt_csf(e, mm)))
+                yield "%s m=%d" % (e, mm), _witness(
+                    _positive_q_power, qt_csf(e, mm), "no positive power of q",
+                    "the term %s has a positive power of q")
 
 
 @_suite("q1")
@@ -276,7 +282,7 @@ def suite_pieri(r=5):
 @_suite("mult")
 def suite_mult(n=4, m=None):
     if m is None:
-        m = 2 * n
+        m = max(n, 2)
     for n1 in range(1, n):
         for n2 in range(1, n - n1 + 1):
             for e1 in enumerate_eseqs(n1):
@@ -291,7 +297,7 @@ def suite_qmap(r=5, m=10):
 
     Each e_r case checks both routes to e_r(Y) . 1: q_map_e, and the
     operator e_r(Y) applied to 1.  The round trips run for the graphs
-    with n <= min(4, r, m), each at m' = min(2n, m) >= 2.
+    with n <= min(4, r, m), each at the faithfulness bound m' = max(n, 2).
     """
     for mm in range(2, m + 1):
         for rr in range(1, min(r, mm) + 1):
@@ -302,7 +308,7 @@ def suite_qmap(r=5, m=10):
     if m < 2:
         return
     for nn in range(1, min(4, r, m) + 1):
-        mm = min(2 * nn, m)
+        mm = max(nn, 2)
         for e in enumerate_eseqs(nn):
             yield "round trip %s m=%d" % (e, mm), _diff(
                 q_map_inv_sym(qt_csf(e, mm)), c_lambda(e))

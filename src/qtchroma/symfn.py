@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .qt import QTCoeff, ZERO, ONE, from_int, qt_monomial, _render_sum
+from .qt import ZERO, ONE, from_int, qt_monomial, _render_sum
 from .xring import XPoly, XError, is_symmetric, _distinct_perms
 
 
@@ -145,12 +145,6 @@ class EExpansion:
             "coeffs": [{"partition": list(lam), "coeff": c.to_json()}
                        for lam, c in self.items()],
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        coeffs = {tuple(it["partition"]): QTCoeff.from_json(it["coeff"])
-                  for it in obj["coeffs"]}
-        return cls(obj["n"], coeffs)
 
 
 def _zero_one_count(rows, cols, memo):

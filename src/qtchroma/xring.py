@@ -62,14 +62,9 @@ class XPoly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = XPoly(self.m, {(0,) * self.m: other})
         if not isinstance(other, XPoly):
             return NotImplemented
         return self.m == other.m and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.m, frozenset(self.terms.items())))
 
     def degree(self):
         """Total degree (max over terms); None for the zero polynomial."""
@@ -159,11 +154,6 @@ class XPoly:
                       for e, c in sorted(self.terms.items())],
         }
 
-    @classmethod
-    def from_json(cls, obj):
-        terms = {tuple(t["exp"]): QTCoeff.from_json(t["coeff"]) for t in obj["terms"]}
-        return cls(obj["m"], terms)
-
 
 def truncate(f, mp):
     """Set X_i = 0 for mp < i <= f.m; the result lives in mp variables."""
@@ -181,11 +171,9 @@ def truncate(f, mp):
     return XPoly._raw(mp, out)
 
 
-def is_symmetric(f, n=None):
-    """True iff f is invariant under all permutations of X_1..X_n.
-
-    n defaults to m, all the variables.
-    """
+def _asymmetry(f, n=None):
+    """The first exponent of f whose coefficient changes when X_i and
+    X_{i+1} swap, for some i < n (default m); None if there is none."""
     terms = f.terms
     for i in range(1, f.m if n is None else n):
         for e, c in terms.items():
@@ -194,8 +182,13 @@ def is_symmetric(f, n=None):
             d = terms.get(e[:i - 1] + (e[i], e[i - 1]) + e[i + 1:])
             # the members of an orbit often share one coefficient object
             if d is not c and d != c:
-                return False
-    return True
+                return e
+    return None
+
+
+def is_symmetric(f, n=None):
+    """True iff f is symmetric in X_1..X_n (n defaults to m)."""
+    return _asymmetry(f, n) is None
 
 
 def _distinct_perms(p):
@@ -220,9 +213,15 @@ def _distinct_perms(p):
         x[i + 1:] = x[:i:-1]
 
 
+def _positive_q_power(f):
+    """The first exponent of f whose coefficient has q^k, k > 0, or None."""
+    return next((e for e, c in f.terms.items()
+                 if any(qe > 0 for qe, _ in c.terms)), None)
+
+
 def assert_integral(f):
     """True iff every coefficient lies in Z[q^{-1}, t^{+-1}]."""
-    return all(qe <= 0 for c in f.terms.values() for qe, _ in c.terms)
+    return _positive_q_power(f) is None
 
 
 # ---------------------------------------------------------------------------

@@ -34,16 +34,15 @@ def test_compute_json(capsys):
     code, out, _ = run(capsys, "--format", "json", "compute",
                        "--eseq", "0", "--m", "2")
     assert code == 0
-    assert XPoly.from_json(json.loads(out)) == XPoly(2, {(1, 0): 1, (0, 1): 1})
+    assert json.loads(out) == XPoly(2, {(1, 0): 1, (0, 1): 1}).to_json()
 
 
 def test_compute_e_basis_json(capsys):
     code, out, _ = run(capsys, "--format", "json", "compute", "--eseq", "0,0",
                        "--m", "2", "--basis", "e")
     assert code == 0
-    exp = EExpansion.from_json(json.loads(out))
     t = qt_monomial(1, 0, 1)
-    assert exp == EExpansion(2, {(2,): t + t * t})
+    assert json.loads(out) == EExpansion(2, {(2,): t + t * t}).to_json()
 
 
 def test_compute_accepts_other_encodings(capsys):
@@ -159,11 +158,11 @@ def test_transport_cli_below_twice_the_degree(capsys):
                        "--g", "e[2]", "--m", "2", "--basis", "monomial")
     assert code == 0
     want = star(e_poly((1,), 2), e_poly((2,), 2))
-    assert XPoly.from_json(json.loads(out)) == want
+    assert json.loads(out) == want.to_json()
     code, out, _ = run(capsys, "--format", "json", "qt-elem", "--partition",
                        "2,1", "--m", "2", "--basis", "monomial")
     assert code == 0
-    assert XPoly.from_json(json.loads(out)) == qt_elementary((2, 1), 2)
+    assert json.loads(out) == qt_elementary((2, 1), 2).to_json()
     # the README examples, at m = the result's degree
     code, out, _ = run(capsys, "star", "--f", "e[1]", "--g", "e[2]", "--m", "3")
     assert code == 0

@@ -9,7 +9,7 @@ from qtchroma.xring import XPoly, is_symmetric
 from qtchroma.symfn import expand_in_e, EExpansion, e_poly
 from qtchroma.graphs import (GraphError, OrientedGraph, check_eseq,
                              eseq_to_aseq, aseq_to_eseq,
-                             eseq_to_hseq, hseq_to_eseq, edges_from_aseq,
+                             eseq_to_hseq, hseq_to_eseq,
                              graph_from_eseq, concat, enumerate_eseqs,
                              modular_triples, chromatic_qsf, complete_eseq,
                              eseq_of_partition, eseq_weight)
@@ -35,8 +35,6 @@ def test_check_aseq():
         aseq_to_eseq([0, 0, 2])    # jumps by more than one
     with pytest.raises(GraphError, match="^aseq invalid"):
         aseq_to_eseq([0, 2])
-    with pytest.raises(GraphError, match="^aseq invalid"):
-        edges_from_aseq([0, 0, 2])
 
 
 def test_check_hseq():
@@ -114,8 +112,6 @@ def test_oriented_graph_validation():
         OrientedGraph(2, [(1, 1)])
     with pytest.raises(GraphError):
         OrientedGraph(2, [(1, 3)])
-    g = OrientedGraph(3, [(1, 2)])
-    assert OrientedGraph.from_json(g.to_json()) == g
 
 
 def test_concat_and_weight():

@@ -141,11 +141,10 @@ def test_inexact_division_and_non_units_raise():
     with pytest.raises(QTError):
         from_int(2).inverse()
     assert qt_monomial(-1, 2, -1).inverse() == qt_monomial(-1, -2, 1)
-    # JSON from outside the program may hold a genuine fraction
+    # the constructor QTCoeff(num, den) divides exactly, or raises
     with pytest.raises(QTError):
-        QTCoeff.from_json({"num": [[1, 0, 0]], "den": [[1, 0, 0], [-1, 0, 1]]})
-    one_minus_t = QTCoeff.from_json({"num": [[1, 0, 0], [-1, 0, 2]],
-                                     "den": [[1, 0, 0], [1, 0, 1]]})
+        QTCoeff({(0, 0): 1}, {(0, 0): 1, (0, 1): -1})
+    one_minus_t = QTCoeff({(0, 0): 1, (0, 2): -1}, {(0, 0): 1, (0, 1): 1})
     assert one_minus_t == ONE - t
 
 
@@ -169,12 +168,20 @@ def test_specializations_are_homomorphisms():
 
 
 def test_json_round_trip():
+    # the written format: [value, qexp, texp] triples sorted by (qexp, texp),
+    # over the denominator 1
+    assert (ONE + qt_monomial(3, -1, 2) - qt_monomial(1, 0, -1)).to_json() == {
+        "num": [[3, -1, 2], [-1, 0, -1], [1, 0, 0]], "den": [[1, 0, 0]]}
+    assert ZERO.to_json() == {"num": [], "den": [[1, 0, 0]]}
     rng = random.Random(9)
     for _ in range(40):
         a = rand_coeff(rng)
-        assert QTCoeff.from_json(a.to_json()) == a
+        obj = a.to_json()
+        # the triples read back as the value's terms
+        assert [(qe, te) for _v, qe, te in obj["num"]] == sorted(a.terms)
+        assert {(qe, te): v for v, qe, te in obj["num"]} == a.terms
         # the fraction view a/1 that the JSON "den" field also shows
-        assert a.to_json()["den"] == [[1, 0, 0]]
+        assert obj["den"] == [[1, 0, 0]]
         assert a.num is a and a.den == ONE
         assert QTCoeff(a.num, a.den) == a
 

@@ -65,10 +65,13 @@ def test_qmap_suite_small():
 
 
 def test_qmap_round_trips_honour_r_and_m():
-    # graphs with n <= min(4, r, m), each at m' = min(2n, m)
+    # graphs with n <= min(4, r, m), each at m' = max(n, 2)
     rep = suite_qmap(r=2, m=3)
     assert rep.ok
-    assert rep.cases == 7   # e_1, e_2 at m = 2, 3; (0,) at 2; two n = 2 at 3
+    assert rep.cases == 7   # e_1, e_2 at m = 2, 3; (0,) and two n = 2 at 2
+    assert [case for case, _bad in suite_qmap.__wrapped__(r=2, m=3)
+            if case.startswith("round trip")] == [
+        "round trip (0,) m=2", "round trip (0, 0) m=2", "round trip (0, 1) m=2"]
     assert suite_qmap(r=5, m=1).cases == 0
 
 
@@ -89,8 +92,17 @@ def test_equality_checks_report_rhs_as_expected_and_lhs_as_actual(monkeypatch):
     from qtchroma.graphs import concat
     monkeypatch.setattr(suites, "star", lambda f, g: XPoly.zero(f.m))
     rep = suites.suite_mult(n=2)
-    assert rep.failures == [("(0,) + (0,) m=4", "0",
-                             render_xpoly(qt_csf(concat((0,), (0,)), 4)))]
+    assert rep.failures == [("(0,) + (0,) m=2", "0",
+                             render_xpoly(qt_csf(concat((0,), (0,)), 2)))]
+
+
+# The (expected, actual) of every failure of the symmetry and integrality
+# mutants above: the actual names the offending term.
+WITNESSES = {
+    "symmetry": ("symmetric", "the term X1 differs from a transposed partner"),
+    "integrality": ("no positive power of q",
+                    "the term q*X1 has a positive power of q"),
+}
 
 
 # For each suite: small sizes, the name in the suites namespace that its
@@ -105,7 +117,8 @@ MUTANTS = {
     "symmetry": ({"n": 2, "m": 2}, "qt_csf",
                  lambda real: lambda e, m: XPoly(m, {(1,) + (0,) * (m - 1): 1})),
     "integrality": ({"n": 2, "m": 2}, "qt_csf",
-                    lambda real: lambda e, m: XPoly(m, {(0,) * m: qt_monomial(1, 1, 0)})),
+                    lambda real: lambda e, m: XPoly(m, {(1,) + (0,) * (m - 1):
+                                                        qt_monomial(1, 1, 0)})),
     "q1": ({"n": 2, "m": 2}, "c_lambda",
            lambda real: lambda e: EExpansion(len(e), {lam: c * qt_monomial(1, 0, 1)
                                                       for lam, c in real(e).coeffs.items()})),
@@ -128,10 +141,11 @@ def test_every_suite_reports_a_wrong_answer(monkeypatch, name):
     rep = SUITES[name](**sizes)
     assert rep.failures
     assert rep.cases == cases
-    if name not in ("symmetry", "integrality"):
-        # an equality case shows the two values, not a bare verdict
-        assert all((e, a) != ("identity holds", "identity fails")
-                   for _c, e, a in rep.failures)
+    # a case shows the two values or the offending term, not a bare verdict
+    assert all((e, a) != ("identity holds", "identity fails")
+               for _c, e, a in rep.failures)
+    if name in WITNESSES:
+        assert {(e, a) for _c, e, a in rep.failures} == {WITNESSES[name]}
 
 
 def test_q1_failure_shows_both_e_expansions(monkeypatch):

@@ -259,8 +259,14 @@ def test_eexpansion_str():
 
 
 def test_eexpansion_json_round_trip():
-    e = EExpansion(4, {(2, 2): qt_monomial(3, -1, 2), (4,): 1})
-    assert EExpansion.from_json(e.to_json()) == e
+    # the written format: partitions in reverse lex order, each with its
+    # coefficient in QTCoeff's format
+    c = qt_monomial(3, -1, 2)
+    e = EExpansion(4, {(2, 2): c, (4,): 1, (3, 1): 0})
+    assert e.to_json() == {"n": 4, "coeffs": [
+        {"partition": [4], "coeff": ONE.to_json()},
+        {"partition": [2, 2], "coeff": c.to_json()}]}
+    assert EExpansion(0, {}).to_json() == {"n": 0, "coeffs": []}
 
 
 def test_apply_N():

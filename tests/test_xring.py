@@ -7,7 +7,8 @@ import pytest
 
 from qtchroma.qt import QTCoeff, ONE, from_int, qt_monomial
 from qtchroma.xring import (XPoly, XError, truncate, is_symmetric,
-                            assert_integral, render_xpoly, _distinct_perms)
+                            assert_integral, render_xpoly, _distinct_perms,
+                            _asymmetry, _positive_q_power)
 
 
 def rand_xpoly(rng, m, deg=3, nterms=4):
@@ -84,16 +85,22 @@ def test_swap_and_symmetry():
     assert is_symmetric(f)
     g = XPoly(2, {(1, 0): 1})
     assert not is_symmetric(g)
+    assert _asymmetry(f) is None
+    assert _asymmetry(g) == (1, 0)
     # symmetric with a nontrivial coefficient pattern
     t = qt_monomial(1, 0, 1)
     h = XPoly(2, {(2, 1): t, (1, 2): t})
     assert is_symmetric(h)
     h2 = XPoly(2, {(2, 1): t, (1, 2): ONE})
     assert not is_symmetric(h2)
+    assert _asymmetry(h2) == (2, 1)
     # symmetric in a prefix only; equal coefficients need not be one object
     p = XPoly(3, {(2, 1, 0): t, (1, 2, 0): qt_monomial(1, 0, 1)})
     assert is_symmetric(p, 2)
     assert not is_symmetric(p)
+    assert _asymmetry(p, 2) is None
+    # X2 <-> X3 sends X1^2*X2 to X1^2*X3, which is absent
+    assert _asymmetry(p) == (2, 1, 0)
     assert is_symmetric(XPoly(3, {(0, 1, 2): t}), 1)
 
 
@@ -105,12 +112,16 @@ def test_distinct_perms():
 
 def test_assert_integral():
     t = qt_monomial(1, 0, 1)
-    assert assert_integral(XPoly(2, {(1, 0): t + 1, (0, 1): qt_monomial(1, -2, -1)}))
+    f = XPoly(2, {(1, 0): t + 1, (0, 1): qt_monomial(1, -2, -1)})
+    assert assert_integral(f)
+    assert _positive_q_power(f) is None
     # positive powers of q are not allowed
     assert not assert_integral(XPoly(2, {(1, 0): qt_monomial(1, 1, 0)}))
     # nor in any one term of a sum
     c = ONE + qt_monomial(1, 1, -1)
-    assert not assert_integral(XPoly(2, {(1, 0): t, (0, 1): c}))
+    g = XPoly(2, {(1, 0): t, (0, 1): c})
+    assert not assert_integral(g)
+    assert _positive_q_power(g) == (0, 1)
 
 
 def test_render():
@@ -131,7 +142,18 @@ def test_render_constant_terms():
 
 
 def test_json_round_trip():
+    # the written format: terms in ascending lex order of exponents, each
+    # with its coefficient in QTCoeff's format
+    q = qt_monomial(1, 1, 0)
+    f = XPoly(2, {(0, -1): q + 1, (1, 1): -q, (0, 0): 0})
+    assert f.to_json() == {"m": 2, "terms": [
+        {"exp": [0, -1], "coeff": (q + 1).to_json()},
+        {"exp": [1, 1], "coeff": (-q).to_json()}]}
     rng = random.Random(7)
     for _ in range(20):
         f = rand_xpoly(rng, rng.randint(1, 4))
-        assert XPoly.from_json(f.to_json()) == f
+        obj = f.to_json()
+        assert obj["m"] == f.m
+        assert [tuple(t["exp"]) for t in obj["terms"]] == sorted(f.terms)
+        assert [t["coeff"] for t in obj["terms"]] == [
+            f.terms[e].to_json() for e in sorted(f.terms)]
