@@ -14,11 +14,11 @@ qt_csf; apply_hatS checks it and on other inputs keeps every monomial.
 
 from __future__ import annotations
 
-from .qt import qt_monomial
+from .qt import QTCoeff, ZERO, qt_monomial
 from .xring import XPoly, XError, is_symmetric, _distinct_perms
 from .hecke import apply_T_inv, apply_pi
-from .symfn import expand_in_e
-from .graphs import eseq_to_aseq, graph_from_eseq, chromatic_qsf
+from .symfn import _solve_dominant
+from .graphs import eseq_to_aseq, graph_from_eseq
 
 
 def apply_hatS(a, f):
@@ -98,6 +98,51 @@ def qt_csf(eseq, m):
 
 
 def c_lambda(eseq):
-    """e-basis coefficients of the coloring oracle (evaluated at m = n)."""
+    """The e-coordinates of the coloring sum, expand_in_e(chromatic_qsf).
+
+    expand_in_e reads only one coefficient a_nu per partition nu of n: the
+    sum of t^asc over the proper colourings that use colour i nu_i times.
+    Such a colouring is a sequence (S_1, ..., S_l) of disjoint stable sets
+    covering the vertices, with |S_i| = nu_i, and adding S_i after U =
+    S_1 u ... u S_{i-1} adds one ascent per edge u -> s with u in U and s
+    in S_i.  So each a_nu is a DP over the vertex sets U, as bitmasks,
+    one level per part; partitions that share a prefix share its levels.
+    The a_nu then go through expand_in_e's unitriangular solve.
+    chromatic_qsf, the full coloring sum, stays the definition.
+    """
     g = graph_from_eseq(eseq)
-    return expand_in_e(chromatic_qsf(g, g.n))
+    n = g.n
+    into = [0] * n      # into[s]: the vertices u with an edge u -> s
+    near = [0] * n      # near[s]: the neighbours of s
+    for v, w in g.edges:
+        into[w - 1] |= 1 << (v - 1)
+        near[w - 1] |= 1 << (v - 1)
+        near[v - 1] |= 1 << (w - 1)
+    stable = [[] for _ in range(n + 1)]   # by size: (mask, vertices)
+    for mask in range(1, 1 << n):
+        verts = [s for s in range(n) if mask >> s & 1]
+        if not any(near[s] & mask for s in verts):
+            stable[len(verts)].append((mask, verts))
+    full = (1 << n) - 1
+    dominant = {}
+
+    def extend(level, rest, most, nu):
+        if not rest:
+            poly = level[full]
+            dominant[nu] = QTCoeff._raw({(0, d): c for d, c in poly.items()})
+            return
+        for k in range(min(rest, most), 0, -1):
+            nxt = {}
+            for u, poly in level.items():
+                for s_mask, verts in stable[k]:
+                    if s_mask & u:
+                        continue
+                    asc = sum((into[s] & u).bit_count() for s in verts)
+                    acc = nxt.setdefault(u | s_mask, {})
+                    for d, c in poly.items():
+                        acc[d + asc] = acc.get(d + asc, 0) + c
+            if nxt:
+                extend(nxt, rest - k, k, nu + (k,))
+
+    extend({0: {0: 1}}, n, n, ())
+    return _solve_dominant(n, lambda nu: dominant.get(nu, ZERO))

@@ -8,6 +8,7 @@ seeded generator so runs are reproducible.
 
 from __future__ import annotations
 
+import collections
 import functools
 import random
 import time
@@ -138,17 +139,34 @@ def suite_relations(m=5, deg_max=4, count=50, seed=0):
 
 @_suite("modular")
 def suite_modular(n=4, m=5):
-    """The three-term linear relation on both computation paths."""
+    """The three-term linear relation on both computation paths.
+
+    A graph enters several triples, so each graph's pair (qt_csf at m
+    variables, chromatic_qsf at n colours) is computed once per call and
+    dropped after the last triple that reads it.
+    """
     t = qt_monomial(1, 0, 1)
-    for nn in range(3, n + 1):
-        for (e, ep, epp, tag) in modular_triples(nn):
-            case = "n=%d %s case %s" % (nn, e, tag)
-            yield "operator " + case, _diff(
-                qt_csf(e, m) * (t + 1), qt_csf(ep, m) * t + qt_csf(epp, m))
-            yield "coloring " + case, _diff(
-                chromatic_qsf(graph_from_eseq(e), nn) * (t + 1),
-                chromatic_qsf(graph_from_eseq(ep), nn) * t
-                + chromatic_qsf(graph_from_eseq(epp), nn))
+    triples = [(nn, triple) for nn in range(3, n + 1)
+               for triple in modular_triples(nn)]
+    reads = collections.Counter(x for _nn, triple in triples
+                                for x in triple[:3])
+    held = {}
+
+    def both(x, nn):
+        pair = held.get(x)
+        if pair is None:
+            pair = held[x] = (qt_csf(x, m),
+                              chromatic_qsf(graph_from_eseq(x), nn))
+        reads[x] -= 1
+        if not reads[x]:
+            del held[x]
+        return pair
+
+    for nn, (e, ep, epp, tag) in triples:
+        (f, cf), (fp, cfp), (fpp, cfpp) = both(e, nn), both(ep, nn), both(epp, nn)
+        case = "n=%d %s case %s" % (nn, e, tag)
+        yield "operator " + case, _diff(f * (t + 1), fp * t + fpp)
+        yield "coloring " + case, _diff(cf * (t + 1), cfp * t + cfpp)
 
 
 @_suite("stability")
@@ -185,7 +203,9 @@ def suite_integrality(n=5, m=6):
 def suite_q1(n=5, m=6):
     """At q = 1 the e-coordinates are those of the coloring sum, rescaled
     by apply_N.  Those do not depend on the number of colours once it is
-    at least n, so the oracle is c_lambda, the sum at n colours."""
+    at least n, so the oracle is c_lambda, the sum at n colours.
+    c_lambda computes only the sum's dominant coefficients, and no
+    operator."""
     if m < n:
         raise XError("need m >= n for a faithful e-expansion")
     for e in enumerate_eseqs(n):

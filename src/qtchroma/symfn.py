@@ -211,17 +211,36 @@ def _check_faithful(n, m):
                          "e-expansion, got m=%d" % (n, n, m))
 
 
+def _solve_dominant(n, dominant):
+    """The EExpansion of degree n whose X^nu coefficient is dominant(nu).
+
+    dominant(nu) gives the coefficient a_nu of X^nu for each partition nu
+    of n.  Under lex order the leading monomial of e_lam is X^{lam'} (the
+    conjugate), so sum c_lam e_lam is unitriangular on these: going
+    through nu in reverse-lex order, c_{nu'} = a_nu - sum_lam c_lam
+    [X^nu] e_lam over the lam already solved.  The integers [X^nu] e_lam
+    come from a per-degree table, so no division and no polynomial
+    product is needed.
+    """
+    coeffs = {}
+    for nu, mu, entries in _e_table(n):
+        acc = dominant(nu)
+        for lam, k in entries:
+            c = coeffs.get(lam)
+            if c is not None:
+                acc = acc - (c if k == 1 else c * k)
+        if acc:
+            coeffs[mu] = acc
+    return EExpansion(n, coeffs)
+
+
 def expand_in_e(f):
     """Expand a symmetric homogeneous polynomial in the elementary basis.
 
     Reads only the dominant monomials of f: the coefficient a_nu of
-    X^nu for each partition nu of n = deg f.  Under lex order the leading
-    monomial of e_lam is X^{lam'} (the conjugate), so f = sum c_lam e_lam
-    is unitriangular on them: going through nu in reverse-lex order,
-    c_{nu'} = a_nu - sum_lam c_lam [X^nu] e_lam over the lam already
-    solved.  The integers [X^nu] e_lam come from a per-degree table, so
-    no division and no polynomial product is needed.  Symmetry is checked
-    on all of f, since the dominant monomials alone cannot see it.
+    X^nu for each partition nu of n = deg f, solved for the e-coordinates
+    by _solve_dominant.  Symmetry is checked on all of f, since the
+    dominant monomials alone cannot see it.
     """
     if f.is_zero():
         return EExpansion(0, {})
@@ -235,16 +254,8 @@ def expand_in_e(f):
         raise SymFnError("polynomial is not symmetric")
     m = f.m
     terms = f.terms
-    coeffs = {}
-    for nu, mu, entries in _e_table(n):
-        acc = terms.get(nu + (0,) * (m - len(nu)), ZERO)
-        for lam, k in entries:
-            c = coeffs.get(lam)
-            if c is not None:
-                acc = acc - (c if k == 1 else c * k)
-        if acc:
-            coeffs[mu] = acc
-    return EExpansion(n, coeffs)
+    return _solve_dominant(
+        n, lambda nu: terms.get(nu + (0,) * (m - len(nu)), ZERO))
 
 
 def apply_N(exp):

@@ -4,6 +4,7 @@ Each test prints a single pass line with its wall time so the suite
 doubles as a progress report when run with -s.
 """
 
+import functools
 import time
 
 from qtchroma.qt import (ONE, from_int, qt_monomial, t_int, t_factorial,
@@ -89,16 +90,19 @@ def test_05_symmetry_integrality():
 
 
 def test_06_modular_law():
+    # a graph enters several triples; each polynomial is computed once
+    op = functools.lru_cache(maxsize=None)(qt_csf)
+    coloring = functools.lru_cache(maxsize=None)(
+        lambda e: chromatic_qsf(graph_from_eseq(e), len(e)))
     with budget("06 modular-law", 300):
         for n in range(3, 6):
             for e, ep, epp, tag in modular_triples(n):
                 for m in (4, 6):
-                    lhs = qt_csf(e, m) * (T + 1)
-                    rhs = qt_csf(ep, m) * T + qt_csf(epp, m)
+                    lhs = op(e, m) * (T + 1)
+                    rhs = op(ep, m) * T + op(epp, m)
                     assert lhs == rhs, (e, m, tag)
-                lhs = chromatic_qsf(graph_from_eseq(e), n) * (T + 1)
-                rhs = (chromatic_qsf(graph_from_eseq(ep), n) * T
-                       + chromatic_qsf(graph_from_eseq(epp), n))
+                lhs = coloring(e) * (T + 1)
+                rhs = coloring(ep) * T + coloring(epp)
                 assert lhs == rhs, (e, tag)
 
 

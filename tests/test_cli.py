@@ -11,6 +11,19 @@ from qtchroma.xring import XPoly
 from qtchroma.symfn import EExpansion, SymFnError, e_poly
 
 
+# `qtcsf expand` of the roadmap graph (0,0,0,1,2,3,4,5)
+ROADMAP_EXPANSION = (
+    "(t^6+t^7)*e[3,3,2] + "
+    "(4*t^5+11*t^6+11*t^7+4*t^8)*e[4,3,1] + "
+    "(t^3+7*t^4+17*t^5+23*t^6+23*t^7+17*t^8+7*t^9+t^10)*e[4,4] + "
+    "(3*t^5+6*t^6+6*t^7+3*t^8)*e[5,2,1] + "
+    "(2*t^3+12*t^4+30*t^5+45*t^6+45*t^7+30*t^8+12*t^9+2*t^10)*e[5,3] + "
+    "(3*t^4+6*t^5+6*t^6+6*t^7+6*t^8+3*t^9)*e[6,1,1] + "
+    "(4*t^3+17*t^4+35*t^5+48*t^6+48*t^7+35*t^8+17*t^9+4*t^10)*e[6,2] + "
+    "(5*t^2+22*t^3+44*t^4+58*t^5+63*t^6+63*t^7+58*t^8+44*t^9+22*t^10+5*t^11)*e[7,1] + "
+    "(1+7*t+22*t^2+42*t^3+57*t^4+63*t^5+64*t^6+64*t^7+63*t^8+57*t^9+42*t^10+22*t^11+7*t^12+t^13)*e[8]")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -265,6 +278,14 @@ def test_render_eexp_order(capsys):
     assert str(EExpansion(0, {})) == "0"
     code, out, _ = run(capsys, "expand", "--eseq", "0,0,1")
     assert (code, out) == (0, "t*e[2,1] + (1+t+t^2)*e[3]")
+
+
+def test_expand_reaches_eight_vertices(capsys):
+    # the roadmap graph; its q = 1 cross-check against the pipeline is in
+    # tests/test_qtcsf.py
+    code, out, _ = run(capsys, "expand", "--eseq", "0,0,0,1,2,3,4,5")
+    assert code == 0
+    assert out == ROADMAP_EXPANSION
 
 
 # -- e-basis faithfulness and verify sizes -----------------------------------

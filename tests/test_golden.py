@@ -19,9 +19,10 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 if __name__ == "__main__":
     sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
+from qtchroma.qt import QTCoeff, specialize_q1
 from qtchroma.graphs import enumerate_eseqs
-from qtchroma.qtcsf import qt_csf
-from qtchroma.symfn import expand_in_e
+from qtchroma.qtcsf import qt_csf, c_lambda
+from qtchroma.symfn import EExpansion, expand_in_e, apply_N
 from qtchroma.suites import suite_q1
 from test_qtcsf import qt_csf_via_s
 
@@ -46,6 +47,19 @@ def test_golden_e_expansions():
     for row in rows:
         got = expansion(tuple(row["eseq"])).to_json()
         assert got == row["e"], row["eseq"]
+
+
+def test_golden_corpus_at_q1_is_the_coloring_sum():
+    # each stored expansion, read back and specialized at q = 1, is the
+    # twisted coloring sum; EExpansion drops the coefficients that vanish
+    for row in load():
+        e = tuple(row["eseq"])
+        at_q1 = {}
+        for item in row["e"]["coeffs"]:
+            assert item["coeff"]["den"] == [[1, 0, 0]]
+            c = QTCoeff({(qe, te): v for v, qe, te in item["coeff"]["num"]})
+            at_q1[tuple(item["partition"])] = specialize_q1(c)
+        assert EExpansion(row["e"]["n"], at_q1) == apply_N(c_lambda(e)), e
 
 
 def regenerate():

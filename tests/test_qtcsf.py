@@ -11,7 +11,8 @@ from qtchroma.xring import XPoly, XError, is_symmetric, assert_integral, truncat
 from qtchroma.hecke import apply_T, apply_T_inv, apply_pi
 from qtchroma.symfn import e_range, e_poly, expand_in_e, EExpansion, apply_N
 from qtchroma.graphs import (enumerate_eseqs, modular_triples, complete_eseq,
-                             graph_from_eseq, chromatic_qsf, check_eseq)
+                             graph_from_eseq, chromatic_qsf, check_eseq,
+                             eseq_to_aseq)
 from qtchroma.qtcsf import apply_hatS, qt_csf, c_lambda
 from qtchroma.suites import suite_q1, suite_qinf, suite_dist
 
@@ -248,6 +249,39 @@ def test_c_lambda_values():
     assert c_lambda((0, 0)) == EExpansion(2, {(2,): ONE + T})
     assert c_lambda((0, 1)) == EExpansion(2, {(1, 1): ONE})
     assert c_lambda((0, 0, 1)) == EExpansion(3, {(2, 1): T, (3,): t_int(3)})
+
+
+# -- c_lambda: the coloring sum read at its dominant coefficients ----------
+
+def test_c_lambda_is_the_expanded_coloring_sum():
+    # the DP over ordered stable sets against the full coloring sum, live
+    for n in range(1, 6):
+        for e in enumerate_eseqs(n):
+            want = expand_in_e(chromatic_qsf(graph_from_eseq(e), n))
+            assert c_lambda(e) == want, e
+
+
+def test_c_lambda_of_the_roadmap_graph_is_the_pipeline_at_q1():
+    e = (0, 0, 0, 1, 2, 3, 4, 5)
+    exp = expand_in_e(qt_csf(e, 8))
+    at_q1 = EExpansion(8, {lam: specialize_q1(c) for lam, c in exp.coeffs.items()})
+    assert at_q1 == apply_N(c_lambda(e))
+
+
+def test_c_lambda_invariants():
+    # e-positivity (Stanley-Stembridge), palindromic coefficients
+    # t^|E| c(1/t) = c(t), and no e_lam with lam_1 below the clique number,
+    # which some lam reaches
+    for n in range(1, 7):
+        for e in enumerate_eseqs(n):
+            edges = len(graph_from_eseq(e).edges)
+            exp = c_lambda(e)
+            for lam, c in exp.coeffs.items():
+                assert all(qe == 0 and te >= 0 and v > 0
+                           for (qe, te), v in c.terms.items()), (e, lam)
+                assert {(0, edges - te): v
+                        for (_qe, te), v in c.terms.items()} == c.terms, (e, lam)
+            assert min(lam[0] for lam in exp.coeffs) == max(eseq_to_aseq(e)) + 1, e
 
 
 def test_dist_identity():

@@ -1,5 +1,6 @@
 """Smoke tests for the verification suites and their reports."""
 
+import collections
 import json
 
 import pytest
@@ -146,6 +147,35 @@ def test_every_suite_reports_a_wrong_answer(monkeypatch, name):
                for _c, e, a in rep.failures)
     if name in WITNESSES:
         assert {(e, a) for _c, e, a in rep.failures} == {WITNESSES[name]}
+
+
+@pytest.mark.parametrize("attr, wrong, half", [
+    ("qt_csf", MUTANTS["modular"][2], "operator "),
+    ("chromatic_qsf",
+     lambda real: lambda g, m: real(g, m) * qt_monomial(1, 0, len(g.edges)),
+     "coloring "),
+])
+def test_modular_mutant_fails_only_its_own_half(monkeypatch, attr, wrong, half):
+    sizes = MUTANTS["modular"][0]
+    cases = suite_modular(**sizes).cases
+    monkeypatch.setattr(suites, attr, wrong(getattr(suites, attr)))
+    rep = suite_modular(**sizes)
+    assert rep.failures
+    assert rep.cases == cases
+    assert all(case.startswith(half) for case, _e, _a in rep.failures)
+
+
+def test_modular_suite_computes_each_graph_once(monkeypatch):
+    calls = collections.Counter()
+    for name in ("qt_csf", "chromatic_qsf"):
+        def counted(*args, real=getattr(suites, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(suites, name, counted)
+    rep = suite_modular(n=5, m=5)
+    assert rep.ok and rep.cases == 108
+    # the 54 triples with 3 <= n <= 5 read 58 distinct graphs
+    assert calls == {"qt_csf": 58, "chromatic_qsf": 58}
 
 
 def test_q1_failure_shows_both_e_expansions(monkeypatch):
