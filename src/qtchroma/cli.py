@@ -28,15 +28,20 @@ class _UsageError(ValueError):
     """A command-line value outside the range its command accepts."""
 
 
+def _ints(raw, error, noun):
+    """The integers of the comma-separated list raw; otherwise the error
+    class given, naming the noun."""
+    try:
+        return tuple(int(x) for x in raw.split(","))
+    except ValueError:
+        raise error("cannot parse %s %r" % (noun, raw)) from None
+
+
 def _parse_seq(args):
     given = [name for name in ("eseq", "aseq", "hess") if getattr(args, name)]
     if len(given) != 1:
         raise GraphError("give exactly one of --eseq, --aseq, --hess")
-    raw = getattr(args, given[0])
-    try:
-        seq = tuple(int(x) for x in raw.split(","))
-    except ValueError:
-        raise GraphError("cannot parse sequence %r" % raw) from None
+    seq = _ints(getattr(args, given[0]), GraphError, "sequence")
     if given[0] == "aseq":
         return aseq_to_eseq(seq)
     if given[0] == "hess":
@@ -70,7 +75,7 @@ def parse_symfn(text, m):
         coef = int(mt.group(1)) if mt.group(1) else 1
         if neg:
             coef = -coef
-        lam = tuple(int(x) for x in mt.group(2).split(",")) if mt.group(2) else ()
+        lam = _ints(mt.group(2), SymFnError, "partition") if mt.group(2) else ()
         _check_partition(lam)
         _check_faithful(sum(lam), m)
         out = out + e_poly(lam, m) * coef
@@ -131,10 +136,7 @@ def cmd_star(args):
 
 
 def cmd_qt_elem(args):
-    try:
-        lam = tuple(int(x) for x in args.partition.split(","))
-    except ValueError:
-        raise SymFnError("cannot parse partition %r" % args.partition) from None
+    lam = _ints(args.partition, SymFnError, "partition")
     _check_partition(lam)
     f = qt_elementary(lam, args.m)
     _emit_poly(f, args, sum(lam))

@@ -16,7 +16,7 @@ _TINV = qt_monomial(1, 0, -1)      # t^-1
 
 
 class HeckeError(ValueError):
-    """Raised for bad operator indices."""
+    """Raised for bad operator indices, and for T_i at m = 1."""
 
 
 def _acc(out, e, c):
@@ -78,28 +78,29 @@ def _t_pair_inv(out, i, e, c, k, l):
                 _acc(out, base + (a, k + l - a) + rest, d)
 
 
-def apply_T(i, f):
-    """The Hecke generator T_i (index mod m)."""
+def _apply_generator(kernel, i, f):
+    """Accumulate kernel (_t_pair or _t_pair_inv) over the monomials of f,
+    for the index i mod m; T_0 is the conjugate Pi T_{m-1} Pi^{-1}."""
     m = f.m
+    if m < 2:
+        raise HeckeError("T_%d needs at least 2 variables, got m=%d" % (i, m))
     i %= m
     if i == 0:
-        return apply_pi(apply_T(m - 1, apply_pi_inv(f)))
+        return apply_pi(_apply_generator(kernel, m - 1, apply_pi_inv(f)))
     out = {}
     for e, c in f.terms.items():
-        _t_pair(out, i, e, c, e[i - 1], e[i])
+        kernel(out, i, e, c, e[i - 1], e[i])
     return XPoly._raw(m, out)
+
+
+def apply_T(i, f):
+    """The Hecke generator T_i (index mod m)."""
+    return _apply_generator(_t_pair, i, f)
 
 
 def apply_T_inv(i, f):
     """The inverse Hecke generator T_i^{-1} (index mod m)."""
-    m = f.m
-    i %= m
-    if i == 0:
-        return apply_pi(apply_T_inv(m - 1, apply_pi_inv(f)))
-    out = {}
-    for e, c in f.terms.items():
-        _t_pair_inv(out, i, e, c, e[i - 1], e[i])
-    return XPoly._raw(m, out)
+    return _apply_generator(_t_pair_inv, i, f)
 
 
 def apply_pi(f):

@@ -98,6 +98,21 @@ def _column(lam):
     return diag, tuple((mu, c) for mu, c in coeffs.items() if mu != lam)
 
 
+def _transport(n, coords, m):
+    """The polynomial sum c_nu e_nu(Y) . 1 in m variables, for the
+    degree-n e-coordinates coords = {nu: c_nu}: the cached columns,
+    summed in e-coordinates and mapped to a polynomial once."""
+    out = {}
+    for nu, c in coords.items():
+        if not c:
+            continue
+        diag, others = _column(nu)
+        for mu, k in ((nu, diag),) + others:
+            s = out.get(mu)
+            out[mu] = k * c if s is None else s + k * c
+    return EExpansion(n, out).to_xpoly(m)
+
+
 def q_map_e(lam, m):
     """The image e_lam(Y) . 1 of the elementary product along a partition.
 
@@ -110,8 +125,7 @@ def q_map_e(lam, m):
         _check_partition(lam)
     except SymFnError as exc:
         raise QMapError(str(exc)) from None
-    diag, others = _column(lam)
-    return EExpansion(sum(lam), dict(((lam, diag),) + others)).to_xpoly(m)
+    return _transport(sum(lam), {lam: ONE}, m)
 
 
 def q_map_inv_sym(f):
@@ -126,15 +140,11 @@ def q_map_inv_sym(f):
     lowest partition left with a nonzero coefficient fixes c_lam, and
     only the columns the solve reaches are built.
     """
-    if f.is_zero():
-        return EExpansion(0, {})
     try:
         target = expand_in_e(f)
     except SymFnError as exc:
         raise QMapError(str(exc)) from None
     d = target.n
-    if d == 0:
-        return target
     rest = dict(target.coeffs)
     sol = {}
     for lam in reversed(partitions_of(d)):
@@ -157,10 +167,8 @@ def apply_e_r_Y(r, g):
     prefixes of the nested applications.
     """
     m = g.m
-    if r < 0 or r > m:
+    if r < 0:
         return XPoly.zero(m)
-    if r == 0:
-        return g
     total = [XPoly.zero(m)]
 
     def rec(start, left, h):
@@ -198,15 +206,7 @@ def star(f, g):
             nu = tuple(sorted(lam + mu, reverse=True))
             s = coords.get(nu)
             coords[nu] = c * d if s is None else s + c * d
-    out = {}
-    for nu, c in coords.items():
-        if not c:
-            continue
-        diag, others = _column(nu)
-        for mu, k in ((nu, diag),) + others:
-            s = out.get(mu)
-            out[mu] = k * c if s is None else s + k * c
-    return EExpansion(a.n + b.n, out).to_xpoly(m)
+    return _transport(a.n + b.n, coords, m)
 
 
 def qt_elementary(lam, m):

@@ -181,13 +181,7 @@ class QTCoeff:
 
     def inverse(self):
         """The inverse of a unit ±q^a*t^b; nothing else is invertible."""
-        if not self.terms:
-            raise ZeroDivisionError("inverse of zero in Z[q^±1, t^±1]")
-        if len(self.terms) == 1:
-            ((qe, te), v), = self.terms.items()
-            if v in (1, -1):
-                return QTCoeff._raw({(-qe, -te): v})
-        raise QTError("%s is not a unit of Z[q^±1, t^±1]" % render_coeff(self))
+        return ONE / self
 
     # -- rendering / serialization ------------------------------------------
 

@@ -52,13 +52,8 @@ def e_range(r, lo, hi, m):
     """
     if r < 0:
         return XPoly.zero(m)
-    if r == 0:
-        return XPoly.one(m)
-    idx = range(max(lo, 1) - 1, min(hi, m))
-    if len(idx) < r:
-        return XPoly.zero(m)
     terms = {}
-    for comb in combinations(idx, r):
+    for comb in combinations(range(max(lo, 1) - 1, min(hi, m)), r):
         e = [0] * m
         for j in comb:
             e[j] = 1
@@ -70,10 +65,7 @@ def e_poly(lam, m):
     """The product of elementary symmetric polynomials e_{lam_i}(X_1..X_m)."""
     out = XPoly.one(m)
     for part in lam:
-        f = e_range(part, 1, m, m)
-        if f.is_zero():
-            return XPoly.zero(m)
-        out = out * f
+        out = out * e_range(part, 1, m, m)
     return out
 
 

@@ -98,16 +98,7 @@ class XPoly:
         return XPoly._raw(self.m, out)
 
     def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = -c if s is None else s - c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return XPoly._raw(self.m, out)
+        return self + -other
 
     def __neg__(self):
         return XPoly._raw(self.m, {e: -c for e, c in self.terms.items()})

@@ -30,6 +30,16 @@ def run(capsys, *argv):
     return code, out.out.strip(), out.err.strip()
 
 
+def usage_error(capsys, *argv):
+    """Run argv, check it exits 2 with empty stdout and one `error:` line
+    on stderr, and return that line."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2, argv
+    assert out == "", argv
+    assert err.startswith("error: ") and "\n" not in err, argv
+    return err
+
+
 def test_compute_monomial_text(capsys):
     code, out, _ = run(capsys, "compute", "--eseq", "0", "--m", "2")
     assert code == 0
@@ -66,10 +76,8 @@ def test_compute_accepts_other_encodings(capsys):
 
 
 def test_compute_requires_exactly_one_encoding(capsys):
-    code, _, err = run(capsys, "compute", "--m", "2")
-    assert code == 2 and "exactly one" in err
-    code, _, err = run(capsys, "compute", "--eseq", "0", "--aseq", "0", "--m", "2")
-    assert code == 2
+    assert "exactly one" in usage_error(capsys, "compute", "--m", "2")
+    usage_error(capsys, "compute", "--eseq", "0", "--aseq", "0", "--m", "2")
 
 
 def test_compute_q1_and_qinf_are_exclusive(capsys):
@@ -80,10 +88,9 @@ def test_compute_q1_and_qinf_are_exclusive(capsys):
 
 
 def test_compute_rejects_bad_sequence(capsys):
-    code, _, err = run(capsys, "compute", "--eseq", "0,2", "--m", "2")
-    assert code == 2 and "eseq invalid" in err
-    code, _, err = run(capsys, "compute", "--eseq", "zero", "--m", "2")
-    assert code == 2
+    assert "eseq invalid" in usage_error(capsys, "compute", "--eseq", "0,2",
+                                         "--m", "2")
+    usage_error(capsys, "compute", "--eseq", "zero", "--m", "2")
 
 
 def test_hecke_error_exits_2(capsys, monkeypatch):
@@ -117,15 +124,35 @@ def test_star_cli(capsys):
 
 def test_star_cli_rejects_too_few_variables(capsys):
     for m in ("0", "-2"):
-        code, out, err = run(capsys, "star", "--f", "e[1]", "--g", "e[1]",
-                             "--m", m)
-        assert code == 2 and err.startswith("error:") and not out
+        usage_error(capsys, "star", "--f", "e[1]", "--g", "e[1]", "--m", m)
 
 
 def test_star_cli_rejects_inhomogeneous_g(capsys):
-    code, _, err = run(capsys, "star", "--f", "e[1]", "--g", "e[1]+e[2]",
-                       "--m", "6", "--basis", "monomial")
-    assert code == 2 and err.startswith("error:")
+    usage_error(capsys, "star", "--f", "e[1]", "--g", "e[1]+e[2]", "--m", "6",
+                "--basis", "monomial")
+
+
+# Malformed values for every subcommand.  main catches each library error,
+# so an uncaught exception fails the test with its traceback.
+BAD_INPUT = [
+    ("compute", "--eseq", "0,,1", "--m", "2"),
+    ("compute", "--aseq", "0,x", "--m", "2"),
+    ("compute", "--hess", ",", "--m", "2"),
+    ("expand", "--eseq", "1"),
+    ("star", "--f", "e[1,]", "--g", "e[1]", "--m", "2"),
+    ("star", "--f", "e[,]", "--g", "e[1]", "--m", "2"),
+    ("star", "--f", "e[1]", "--g", "e[1,,2]", "--m", "4"),
+    ("star", "--f", "e[1]", "--g", "e[2,1]", "--m", "2"),
+    ("qt-elem", "--partition", "2,,1", "--m", "3"),
+    ("qt-elem", "--partition", "0", "--m", "3"),
+    ("verify", "q1", "--n", "3", "--m", "2"),
+    ("list-graphs", "--n", "0"),
+]
+
+
+def test_bad_input_exits_2_with_one_error_line(capsys):
+    for argv in BAD_INPUT:
+        usage_error(capsys, *argv)
 
 
 def test_star_cli_non_triangular_transport_exits_2(capsys, monkeypatch):
@@ -267,6 +294,9 @@ def test_parse_symfn_errors():
         parse_symfn("x[1]", 3)
     with pytest.raises(SymFnError, match="positive"):
         parse_symfn("e[0]", 3)
+    for text in ("e[1,]", "e[,]", "e[1,,2]"):
+        with pytest.raises(SymFnError, match="cannot parse partition"):
+            parse_symfn(text, 3)
 
 
 def test_render_eexp_order(capsys):
@@ -375,7 +405,4 @@ def test_verify_sizes_at_and_below_their_minimum(capsys, suite):
     assert code == 0
     assert json.loads(out)["cases"] >= 1
     for flag, least in sizes.items():
-        code, out, err = run(capsys, "verify", suite, "--" + flag, str(least - 1))
-        assert code == 2, flag
-        assert out == ""
-        assert err.startswith("error: ")
+        usage_error(capsys, "verify", suite, "--" + flag, str(least - 1))

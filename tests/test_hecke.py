@@ -95,6 +95,19 @@ def test_distant_generators_commute():
         assert apply_T(i, apply_T(j, f)) == apply_T(j, apply_T(i, f))
 
 
+def test_T_needs_two_variables():
+    # at m = 1 there is no pair X_i, X_{i+1}; T_0 = Pi T_0 Pi^{-1} would
+    # conjugate itself forever
+    f = XPoly(1, {(1,): 1})
+    for op in (apply_T, apply_T_inv):
+        for i in (0, 1):
+            with pytest.raises(HeckeError, match="at least 2 variables"):
+                op(i, f)
+    # Pi and Y_1 act on one variable
+    assert apply_pi(f) == XPoly(1, {(2,): qt_monomial(1, -1, 0)})
+    assert apply_Y(1, f) == apply_pi(f)
+
+
 # -- cyclic shift ----------------------------------------------------------
 
 def test_pi_frozen_values():

@@ -258,6 +258,8 @@ def test_q_map_inv_sym_degree_zero():
     out = q_map_inv_sym(f)
     assert out.coeffs == {(): from_int(5)}
     assert q_map_inv_sym(XPoly.zero(3)) == EExpansion(0, {})
+    # a constant goes through the column of the empty partition
+    assert q_map_inv_sym(XPoly(3, {(0, 0, 0): 3})) == EExpansion(0, {(): 3})
 
 
 FAITHFUL_2_AT_1 = ("need at least 2 variables for a faithful degree-2 "

@@ -72,6 +72,7 @@ def test_e_range_values():
     assert e_range(1, 1, 2, 3) == XPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1})
     assert e_range(2, 2, 3, 3) == XPoly(3, {(0, 1, 1): 1})
     assert e_range(0, 1, 3, 3) == XPoly.one(3)
+    assert e_range(0, 3, 2, 3) == XPoly.one(3)   # an empty range
     assert e_range(-1, 1, 3, 3) == XPoly.zero(3)
     assert e_range(3, 1, 2, 3) == XPoly.zero(3)  # too few variables
 
