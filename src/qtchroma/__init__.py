@@ -1,10 +1,9 @@
 """Exact computation of two-parameter chromatic symmetric functions of
 unit interval graphs through an affine Hecke algebra action."""
 
-from .qt import (QTError, QTCoeff, from_int, qt_monomial, t_int, t_factorial,
+from .qt import (QTError, QTCoeff, qt_monomial, t_int, t_factorial,
                  specialize_q1, limit_q_infinity, ZERO, ONE)
-from .xring import (XError, XPoly, truncate, is_symmetric, assert_integral,
-                    render_xpoly)
+from .xring import XError, XPoly, truncate, is_symmetric, assert_integral
 from .hecke import (HeckeError, apply_T, apply_T_inv, apply_pi, apply_pi_inv,
                     apply_Y)
 from .symfn import (SymFnError, partitions_of, conjugate, e_poly, e_range,

@@ -13,7 +13,7 @@ import re
 import sys
 
 from .qt import QTError, specialize_q1, limit_q_infinity
-from .xring import XPoly, XError, render_xpoly
+from .xring import XPoly, XError
 from .hecke import HeckeError
 from .symfn import (SymFnError, e_poly, expand_in_e, _check_faithful,
                     _check_partition)
@@ -28,13 +28,23 @@ class _UsageError(ValueError):
     """A command-line value outside the range its command accepts."""
 
 
+_INT = re.compile(r"-?[0-9]+")
+
+
+def _int(text):
+    """The argparse type of the integer flags: digits as _ints reads them."""
+    if not _INT.fullmatch(text):
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    return int(text)
+
+
 def _ints(raw, error, noun):
     """The integers of the comma-separated list raw; otherwise the error
     class given, naming the noun."""
-    try:
-        return tuple(int(x) for x in raw.split(","))
-    except ValueError:
-        raise error("cannot parse %s %r" % (noun, raw)) from None
+    items = raw.split(",")
+    if not all(_INT.fullmatch(x) for x in items):
+        raise error("cannot parse %s %r" % (noun, raw))
+    return tuple(map(int, items))
 
 
 def _parse_seq(args):
@@ -49,7 +59,7 @@ def _parse_seq(args):
     return check_eseq(seq)
 
 
-_ELIT_TERM = re.compile(r"^(?:(-?\d+)\*)?e\[([0-9,]*)\]$")
+_ELIT_TERM = re.compile(r"^(?:(-?[0-9]+)\*)?e\[([0-9,]*)\]$")
 
 
 def parse_symfn(text, m):
@@ -111,7 +121,7 @@ def _emit_poly(f, args, degree):
         if args.format == "json":
             print(json.dumps(f.to_json()))
         else:
-            print(render_xpoly(f))
+            print(f)
 
 
 def cmd_compute(args):
@@ -205,7 +215,7 @@ def build_parser():
 
     sp = sub.add_parser("compute", help="compute the polynomial for a graph")
     add_seq_flags(sp)
-    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--m", type=_int, required=True)
     sp.add_argument("--basis", choices=("monomial", "e"), default="monomial")
     spec = sp.add_mutually_exclusive_group()
     spec.add_argument("--q1", action="store_true", help="specialize q=1")
@@ -219,24 +229,24 @@ def build_parser():
     sp = sub.add_parser("star", help="quantum product of two literals")
     sp.add_argument("--f", required=True)
     sp.add_argument("--g", required=True)
-    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--m", type=_int, required=True)
     sp.add_argument("--basis", choices=("monomial", "e"), default="e")
     sp.set_defaults(func=cmd_star)
 
     sp = sub.add_parser("qt-elem", help="iterated quantum elementary product")
     sp.add_argument("--partition", required=True)
-    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--m", type=_int, required=True)
     sp.add_argument("--basis", choices=("monomial", "e"), default="e")
     sp.set_defaults(func=cmd_qt_elem)
 
     sp = sub.add_parser("verify", help="run an identity suite")
     sp.add_argument("suite", choices=sorted(SUITES))
     for flag in _VERIFY_FLAGS:
-        sp.add_argument("--" + flag, type=int)
+        sp.add_argument("--" + flag, type=_int)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("list-graphs", help="enumerate graph encodings")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_int, required=True)
     sp.set_defaults(func=cmd_list_graphs)
 
     return p

@@ -9,7 +9,7 @@ T_0 is the conjugate Pi T_{m-1} Pi^{-1}.
 from __future__ import annotations
 
 from .qt import QTCoeff, qt_monomial
-from .xring import XPoly
+from .xring import XPoly, _acc
 
 _T = qt_monomial(1, 0, 1)          # t
 _TINV = qt_monomial(1, 0, -1)      # t^-1
@@ -17,15 +17,6 @@ _TINV = qt_monomial(1, 0, -1)      # t^-1
 
 class HeckeError(ValueError):
     """Raised for bad operator indices, and for T_i at m = 1."""
-
-
-def _acc(out, e, c):
-    s = out.get(e)
-    s = c if s is None else s + c
-    if s.is_zero():
-        out.pop(e, None)
-    else:
-        out[e] = s
 
 
 def _times_tdiff(c, hi, lo):

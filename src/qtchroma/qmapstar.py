@@ -29,7 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .qt import ONE, qt_monomial, t_factorial
-from .xring import XPoly, XError
+from .xring import XPoly, XError, _acc
 from .hecke import apply_Y
 from .symfn import (EExpansion, SymFnError, partitions_of, expand_in_e,
                     _check_partition)
@@ -104,12 +104,9 @@ def _transport(n, coords, m):
     summed in e-coordinates and mapped to a polynomial once."""
     out = {}
     for nu, c in coords.items():
-        if not c:
-            continue
         diag, others = _column(nu)
         for mu, k in ((nu, diag),) + others:
-            s = out.get(mu)
-            out[mu] = k * c if s is None else s + k * c
+            _acc(out, mu, k * c)
     return EExpansion(n, out).to_xpoly(m)
 
 
@@ -149,14 +146,13 @@ def q_map_inv_sym(f):
     sol = {}
     for lam in reversed(partitions_of(d)):
         c = rest.pop(lam, None)
-        if c is None or c.is_zero():
+        if c is None:
             continue
         diag, others = _column(lam)
         x = c / diag
         sol[lam] = x
         for mu, k in others:
-            r = rest.get(mu)
-            rest[mu] = -(x * k) if r is None else r - x * k
+            _acc(rest, mu, -(x * k))
     return EExpansion(d, sol)
 
 
@@ -195,18 +191,13 @@ def star(f, g):
     """
     if f.m != g.m:
         raise XError("variable counts differ: %d vs %d" % (f.m, g.m))
-    m = f.m
-    if f.is_zero() or g.is_zero():
-        return XPoly.zero(m)
     b = q_map_inv_sym(g)
     a = q_map_inv_sym(f)
     coords = {}
     for lam, c in a.coeffs.items():
         for mu, d in b.coeffs.items():
-            nu = tuple(sorted(lam + mu, reverse=True))
-            s = coords.get(nu)
-            coords[nu] = c * d if s is None else s + c * d
-    return _transport(a.n + b.n, coords, m)
+            _acc(coords, tuple(sorted(lam + mu, reverse=True)), c * d)
+    return _transport(a.n + b.n, coords, f.m)
 
 
 def qt_elementary(lam, m):

@@ -61,7 +61,7 @@ class QTCoeff:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = from_int(other)
+            other = qt_monomial(other)
         if not isinstance(other, QTCoeff):
             return NotImplemented
         return self.terms == other.terms
@@ -70,7 +70,7 @@ class QTCoeff:
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = from_int(other)
+            other = qt_monomial(other)
         out = dict(self.terms)
         for k, v in other.terms.items():
             s = out.get(k, 0) + v
@@ -84,7 +84,7 @@ class QTCoeff:
 
     def __sub__(self, other):
         if isinstance(other, int):
-            other = from_int(other)
+            other = qt_monomial(other)
         out = dict(self.terms)
         for k, v in other.terms.items():
             s = out.get(k, 0) - v
@@ -95,14 +95,14 @@ class QTCoeff:
         return QTCoeff._raw(out)
 
     def __rsub__(self, other):
-        return from_int(other) - self
+        return qt_monomial(other) - self
 
     def __neg__(self):
         return QTCoeff._raw({k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            other = from_int(other)
+            other = qt_monomial(other)
         a, b = self.terms, other.terms
         if not a or not b:
             return QTCoeff._raw({})
@@ -129,7 +129,7 @@ class QTCoeff:
     def __truediv__(self, other):
         """Exact division; QTError when the quotient is not in the ring."""
         if isinstance(other, int):
-            other = from_int(other)
+            other = qt_monomial(other)
         a, b = self.terms, other.terms
         if not b:
             raise ZeroDivisionError("division by zero in Z[q^±1, t^±1]")
@@ -173,7 +173,7 @@ class QTCoeff:
         return QTCoeff._raw(out)
 
     def __rtruediv__(self, other):
-        return from_int(other) / self
+        return qt_monomial(other) / self
 
     def _inexact(self, other):
         return QTError("%s / %s is not a Laurent polynomial"
@@ -199,16 +199,13 @@ class QTCoeff:
         }
 
 
-def from_int(n):
-    return QTCoeff._raw({(0, 0): n} if n else {})
-
 def qt_monomial(c=1, qe=0, te=0):
     """The coefficient c * q^qe * t^te."""
     return QTCoeff._raw({(qe, te): c} if c else {})
 
 
-ZERO = from_int(0)
-ONE = from_int(1)
+ZERO = qt_monomial(0)
+ONE = qt_monomial(1)
 
 
 def t_int(n):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .qt import ZERO, ONE, from_int, qt_monomial, _render_sum
+from .qt import ZERO, ONE, qt_monomial, _render_sum
 from .xring import XPoly, XError, is_symmetric, _distinct_perms
 
 
@@ -84,7 +84,7 @@ class EExpansion:
                     raise SymFnError("partition %r has weight %d, expected %d"
                                      % (lam, sum(lam), n))
                 if isinstance(c, int):
-                    c = from_int(c)
+                    c = qt_monomial(c)
                 if not c.is_zero():
                     self.coeffs[lam] = c
 

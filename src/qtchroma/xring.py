@@ -7,11 +7,21 @@ stored dense (m is small), term maps are sparse.
 
 from __future__ import annotations
 
-from .qt import QTCoeff, ONE, from_int, _render_sum
+from .qt import QTCoeff, ONE, qt_monomial, _render_sum
 
 
 class XError(ValueError):
     """Raised for malformed or incompatible X-polynomial operations."""
+
+
+def _acc(out, e, c):
+    """Add c into out[e], keeping no zero value: the XPoly invariant."""
+    s = out.get(e)
+    s = c if s is None else s + c
+    if s.is_zero():
+        out.pop(e, None)
+    else:
+        out[e] = s
 
 
 class XPoly:
@@ -33,7 +43,7 @@ class XPoly:
                     raise XError("exponent vector %r has length %d, expected %d"
                                  % (exps, len(exps), m))
                 if isinstance(c, int):
-                    c = from_int(c)
+                    c = qt_monomial(c)
                 if not c.is_zero():
                     self.terms[tuple(exps)] = c
 
@@ -89,12 +99,7 @@ class XPoly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
+            _acc(out, e, c)
         return XPoly._raw(self.m, out)
 
     def __sub__(self, other):
@@ -110,14 +115,7 @@ class XPoly:
         out = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                c = ca * cb
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                _acc(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
         return XPoly._raw(self.m, out)
 
     def __rmul__(self, other):
@@ -125,7 +123,7 @@ class XPoly:
 
     def scale(self, c):
         if isinstance(c, int):
-            c = from_int(c)
+            c = qt_monomial(c)
         if c.is_zero():
             return XPoly.zero(self.m)
         return XPoly._raw(self.m, {e: k * c for e, k in self.terms.items()})
@@ -133,10 +131,12 @@ class XPoly:
     # -- rendering / serialization ---------------------------------------
 
     def __str__(self):
-        return render_xpoly(self)
+        """Canonical text form, terms in descending lex order of exponents."""
+        return _render_sum((self.terms[e], _render_monomial(e))
+                           for e in sorted(self.terms, reverse=True))
 
     def __repr__(self):
-        return "XPoly(m=%d, %s)" % (self.m, render_xpoly(self))
+        return "XPoly(m=%d, %s)" % (self.m, self)
 
     def to_json(self):
         return {
@@ -222,9 +222,3 @@ def assert_integral(f):
 def _render_monomial(e):
     return "*".join("X%d" % (j + 1) if a == 1 else "X%d^%d" % (j + 1, a)
                     for j, a in enumerate(e) if a)
-
-
-def render_xpoly(f):
-    """Canonical text form, terms in descending lex order of exponents."""
-    return _render_sum((f.terms[e], _render_monomial(e))
-                       for e in sorted(f.terms, reverse=True))

@@ -7,7 +7,7 @@ doubles as a progress report when run with -s.
 import functools
 import time
 
-from qtchroma.qt import (ONE, from_int, qt_monomial, t_int, t_factorial,
+from qtchroma.qt import (ONE, qt_monomial, t_int, t_factorial,
                          limit_q_infinity)
 from qtchroma.xring import XPoly, is_symmetric, assert_integral, truncate
 from qtchroma.symfn import partitions_of, e_poly, e_range
@@ -50,7 +50,7 @@ class budget:
 def test_01_three_vertex_path():
     with budget("01 three-vertex-path", 1):
         scale = qt_monomial(1, -1, 2)
-        fac = (from_int(-1) + qt_monomial(1, 1, 0) + qt_monomial(1, 1, 1)) * t_int(3)
+        fac = (qt_monomial(-1) + qt_monomial(1, 1, 0) + qt_monomial(1, 1, 1)) * t_int(3)
         for m in (2, 3, 4):
             want = (e_poly((2, 1), m) + e_poly((3,), m) * fac) * scale
             assert qt_csf((0, 0, 1), m) == want, m

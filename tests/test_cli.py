@@ -6,7 +6,7 @@ import pytest
 
 from qtchroma.cli import main, parse_symfn
 from qtchroma.qmapstar import star, qt_elementary
-from qtchroma.qt import qt_monomial, from_int
+from qtchroma.qt import qt_monomial
 from qtchroma.xring import XPoly
 from qtchroma.symfn import EExpansion, SymFnError, e_poly
 
@@ -138,11 +138,15 @@ BAD_INPUT = [
     ("compute", "--eseq", "0,,1", "--m", "2"),
     ("compute", "--aseq", "0,x", "--m", "2"),
     ("compute", "--hess", ",", "--m", "2"),
+    ("compute", "--eseq", "0, 0", "--m", "2"),
+    ("compute", "--eseq", "0,0_1", "--m", "2"),
+    ("compute", "--hess", "+2,2", "--m", "2"),
     ("expand", "--eseq", "1"),
     ("star", "--f", "e[1,]", "--g", "e[1]", "--m", "2"),
     ("star", "--f", "e[,]", "--g", "e[1]", "--m", "2"),
     ("star", "--f", "e[1]", "--g", "e[1,,2]", "--m", "4"),
     ("star", "--f", "e[1]", "--g", "e[2,1]", "--m", "2"),
+    ("star", "--f", "\u0663*e[1]", "--g", "e[1]", "--m", "2"),
     ("qt-elem", "--partition", "2,,1", "--m", "3"),
     ("qt-elem", "--partition", "0", "--m", "3"),
     ("verify", "q1", "--n", "3", "--m", "2"),
@@ -155,10 +159,23 @@ def test_bad_input_exits_2_with_one_error_line(capsys):
         usage_error(capsys, *argv)
 
 
+def test_integer_flags_take_ascii_digits_only(capsys):
+    # int() would also read digit separators, a plus sign, blanks and
+    # non-ASCII digits; the flags take what the lists take
+    for argv in (("verify", "dist", "--n", "0_3"),
+                 ("verify", "dist", "--n", "+3"),
+                 ("list-graphs", "--n", " 3"),
+                 ("compute", "--eseq", "0", "--m", "\u0663")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2, argv
+        assert "invalid int value" in capsys.readouterr().err
+
+
 def test_star_cli_non_triangular_transport_exits_2(capsys, monkeypatch):
     from qtchroma import qmapstar
     monkeypatch.setattr(qmapstar, "_e_image",
-                        lambda lam: {(1,) * sum(lam): from_int(1)})
+                        lambda lam: {(1,) * sum(lam): qt_monomial(1)})
     qmapstar._column.cache_clear()
     try:
         code, out, err = run(capsys, "star", "--f", "e[1]", "--g", "e[2]",
@@ -303,7 +320,7 @@ def test_render_eexp_order(capsys):
     # the text form lists partitions in ascending lexicographic order,
     # and is the one EExpansion prints
     t = qt_monomial(1, 0, 1)
-    exp = EExpansion(3, {(3,): t, (2, 1): from_int(1)})
+    exp = EExpansion(3, {(3,): t, (2, 1): qt_monomial(1)})
     assert str(exp) == "e[2,1] + t*e[3]"
     assert str(EExpansion(0, {})) == "0"
     code, out, _ = run(capsys, "expand", "--eseq", "0,0,1")

@@ -178,7 +178,7 @@ def test_coloring_oracle_symmetric():
 
 def test_coloring_oracle_t1_counts_colorings():
     # setting t = 1 must count proper colorings of the underlying graph
-    from qtchroma.qt import specialize_q1, from_int
+    from qtchroma.qt import specialize_q1
     g = graph_from_eseq((0, 0, 1))
     f = chromatic_qsf(g, 3)
     total = sum((c.num.terms.get((0, 0), 0) + sum(

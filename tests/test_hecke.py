@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qtchroma.qt import qt_monomial, from_int
+from qtchroma.qt import qt_monomial
 from qtchroma.xring import XPoly
 from qtchroma.hecke import (HeckeError, apply_T, apply_T_inv, apply_pi,
                             apply_pi_inv, apply_Y)
@@ -39,7 +39,7 @@ def test_T_frozen_values():
     assert apply_T(1, x2) == x1 * T + x2 * (T - 1)
     # degree 2: T_1 . X_1^2 = X_2^2 - (t-1) X_1 X_2
     assert apply_T(1, XPoly(m, {(2, 0): 1})) == XPoly(
-        m, {(0, 2): from_int(1), (1, 1): from_int(1) - T})
+        m, {(0, 2): qt_monomial(1), (1, 1): qt_monomial(1) - T})
 
 
 def test_T_fixes_symmetric_pairs():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qtchroma.qt import ONE, from_int, qt_monomial, t_int, t_factorial
+from qtchroma.qt import ONE, qt_monomial, t_int, t_factorial
 from qtchroma.xring import XPoly, XError
 from qtchroma.symfn import partitions_of, e_poly, e_range, expand_in_e, EExpansion
 from qtchroma.graphs import enumerate_eseqs, concat, eseq_of_partition
@@ -45,7 +45,7 @@ def _random_coeff(rng):
     of the non-monomial u = 1 - t + q^-1 t^2, and pieces that cancel each
     other or divide exactly."""
     u = ONE - T + qt_monomial(1, -1, 2)
-    total = from_int(0)
+    total = qt_monomial(0)
     for _ in range(rng.randint(1, 3)):
         kind = rng.randrange(4)
         if kind == 0:
@@ -256,7 +256,7 @@ def test_q_map_inv_sym_rejects_non_triangular_images(monkeypatch, cold_columns):
 def test_q_map_inv_sym_degree_zero():
     f = XPoly(3, {(0, 0, 0): 5})
     out = q_map_inv_sym(f)
-    assert out.coeffs == {(): from_int(5)}
+    assert out.coeffs == {(): qt_monomial(5)}
     assert q_map_inv_sym(XPoly.zero(3)) == EExpansion(0, {})
     # a constant goes through the column of the empty partition
     assert q_map_inv_sym(XPoly(3, {(0, 0, 0): 3})) == EExpansion(0, {(): 3})
@@ -293,6 +293,8 @@ def test_star_identity_element():
     f = e_poly((2,), m)
     assert star(XPoly.one(m), f) == f
     assert star(f, XPoly.one(m)) == f
+    assert star(XPoly.zero(m), f) == XPoly.zero(m)
+    assert star(f, XPoly.zero(m)) == XPoly.zero(m)
 
 
 def test_star_headroom_check():
@@ -362,7 +364,7 @@ def test_pieri_rule():
     for r in (0, 1, 2):
         m = 2 * r + 2
         e1, er = e_range(1, 1, m, m), e_range(r, 1, m, m)
-        want = (e_range(r + 1, 1, m, m) * ((from_int(1) - qinv) * t_int(r + 1))
+        want = (e_range(r + 1, 1, m, m) * ((qt_monomial(1) - qinv) * t_int(r + 1))
                 + e1 * er * qinv)
         assert star(e1, er) == want, r
     report = suite_pieri(r=2)
@@ -388,7 +390,7 @@ def test_qt_elementary_single_part():
 def test_qt_elementary_column():
     # (1,1): e_1 star e_1
     m = 4
-    want = (e_range(2, 1, m, m) * ((from_int(1) - qt_monomial(1, -1, 0)) * t_int(2))
+    want = (e_range(2, 1, m, m) * ((qt_monomial(1) - qt_monomial(1, -1, 0)) * t_int(2))
             + e_range(1, 1, m, m) * e_range(1, 1, m, m) * qt_monomial(1, -1, 0))
     assert qt_elementary((1, 1), m) == want
 

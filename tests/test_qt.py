@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qtchroma.qt import (QTCoeff, QTError, ZERO, ONE, from_int, qt_monomial,
+from qtchroma.qt import (QTCoeff, QTError, ZERO, ONE, qt_monomial,
                          t_int, t_factorial, specialize_q1, limit_q_infinity,
                          render_coeff)
 
@@ -139,7 +139,7 @@ def test_inexact_division_and_non_units_raise():
     with pytest.raises(QTError):
         (ONE - t).inverse()
     with pytest.raises(QTError):
-        from_int(2).inverse()
+        qt_monomial(2).inverse()
     assert qt_monomial(-1, 2, -1).inverse() == qt_monomial(-1, -2, 1)
     # the constructor QTCoeff(num, den) divides exactly, or raises
     with pytest.raises(QTError):

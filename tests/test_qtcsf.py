@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qtchroma.qt import (ONE, from_int, qt_monomial, t_int, t_factorial,
+from qtchroma.qt import (ONE, qt_monomial, t_int, t_factorial,
                          specialize_q1)
 from qtchroma.xring import XPoly, XError, is_symmetric, assert_integral, truncate
 from qtchroma.hecke import apply_T, apply_T_inv, apply_pi
@@ -163,6 +163,37 @@ def test_hatS_matches_unpruned_reference_on_arbitrary_input():
                 assert apply_hatS(a, f) == hatS_reference(a, f), (m, a, f)
 
 
+def symmetrizer_steps(monkeypatch, cases):
+    """Run qt_csf(e, m) for each (e, m) in cases, asserting that every
+    hatS_a step it runs gets an input symmetric in X_1..X_a; return the
+    number of steps."""
+    from qtchroma import qtcsf
+    steps = [0]
+
+    def recorder(a, f):
+        assert is_symmetric(f, a), (a, f)
+        steps[0] += 1
+        return apply_hatS(a, f)
+
+    monkeypatch.setattr(qtcsf, "apply_hatS", recorder)
+    for e, m in cases:
+        before = steps[0]
+        qtcsf.qt_csf(e, m)
+        assert steps[0] == before + len(e), (e, m)
+    return steps[0]
+
+
+def test_every_symmetrizer_step_of_qt_csf_gets_a_symmetric_input(monkeypatch):
+    # the area-sequence condition a(i+1) <= a(i) + 1 makes each step's
+    # input symmetric in X_1..X_a; checked on every graph with n <= 5 at
+    # m = 2..n+2, and n = 6 at m = 2..6
+    cases = [(e, m) for n in range(1, 6) for e in enumerate_eseqs(n)
+             for m in range(2, n + 3)]
+    cases += [(e, m) for e in enumerate_eseqs(6) for m in range(2, 7)]
+    # sum of C_n * n * (n + 1) over n <= 5, plus C_6 * 6 * 5
+    assert symmetrizer_steps(monkeypatch, cases) == 5574
+
+
 # -- the main builder --------------------------------------------------------
 
 def test_qt_csf_needs_two_variables():
@@ -189,7 +220,7 @@ def test_qt_csf_frozen_small_values():
 
 
 def test_qt_csf_three_vertex_path_closed_form():
-    fac = (from_int(-1) + qt_monomial(1, 1, 0) + qt_monomial(1, 1, 1)) * t_int(3)
+    fac = (qt_monomial(-1) + qt_monomial(1, 1, 0) + qt_monomial(1, 1, 1)) * t_int(3)
     for m in (2, 3, 4):
         want = (e_poly((2, 1), m) + e_poly((3,), m) * fac) * qt_monomial(1, -1, 2)
         assert qt_csf((0, 0, 1), m) == want

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qtchroma.qt import ONE, from_int, qt_monomial
+from qtchroma.qt import ONE, qt_monomial
 from qtchroma.xring import XPoly, is_symmetric
 from qtchroma.symfn import (SymFnError, partitions_of, conjugate, e_range,
                             e_poly, EExpansion, expand_in_e, apply_N, e_stat,
@@ -161,7 +161,7 @@ def _random_coeff(rng):
     other or divide exactly."""
     t = qt_monomial(1, 0, 1)
     u = ONE - t + qt_monomial(1, -1, 2)
-    total = from_int(0)
+    total = qt_monomial(0)
     for _ in range(rng.randint(1, 3)):
         kind = rng.randrange(4)
         if kind == 0:
@@ -272,7 +272,7 @@ def test_eexpansion_json_round_trip():
 
 def test_apply_N():
     t = qt_monomial(1, 0, 1)
-    e = EExpansion(4, {(3, 1): from_int(1), (2, 2): t})
+    e = EExpansion(4, {(3, 1): qt_monomial(1), (2, 2): t})
     out = apply_N(e)
     assert out.coeffs[(3, 1)] == qt_monomial(1, 0, 3)
     assert out.coeffs[(2, 2)] == qt_monomial(1, 0, 3)  # t * t^{1+1}
